@@ -27,6 +27,7 @@ from .encoding import (
     EnsembleParams,
     NoValidCodeword,
     OraclePromiseViolated,
+    ParamsViolation,
     PromiseViolated,
     anchored_configuration,
     build_initial_ensemble,
@@ -56,7 +57,7 @@ from .machine import (
     run_orbit,
     save_spec,
 )
-from .staged import VARIANTS, build_staged_machine
+from .staged import FIXTURES, VARIANTS, build_staged_machine
 from .verifier import (
     DecisionInstance,
     GapViolation,
@@ -71,11 +72,12 @@ class InputError(ValueError):
     pass
 
 
-def _fraction(text: str) -> Fraction:
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
-    return Fraction(text)
+def fraction(text: str) -> Fraction:
+    """A rational written p/q or as a decimal; ValueError otherwise."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}")
 
 
 def _machine_from_args(args):
@@ -93,7 +95,7 @@ def _machine_from_args(args):
 
 def _config_from_args(spec, args):
     if args.alpha and args.m_count is None:
-        m_count = round(float(_fraction(args.alpha)) * args.L)
+        m_count = round(float(args.alpha) * args.L)
     else:
         m_count = args.m_count or 0
     sites = scattered_m_sites(args.L, m_count, seed=args.seed) if m_count else {}
@@ -197,8 +199,7 @@ def cmd_evolve(args):
         "# trace distances use the unhalved convention (orthogonal pure states at 2)"
     )
     lines.append("t,p_a1,p_a2,re_rho_a1_a2,im_rho_a1_a2,dist_to_a1,dist_to_half_mix")
-    for t in ts:
-        rho = orbit_site_average(orbit, h, float(t))
+    for t, rho in zip(ts, orbit_site_average(orbit, h, ts)):
         lines.append(
             ",".join(
                 [
@@ -271,16 +272,20 @@ def _instance_from_file(path, t0_override=None):
         inst = DecisionInstance(
             machine=spec,
             ensemble=ensemble,
-            eta=data["eta"],
-            eps1=data["eps1"],
+            eta=float(data["eta"]),
+            eps1=float(data["eps1"]),
             gamma=data.get("gamma", 1),
             t0_override=t0_override if t0_override is not None else data.get("t0_override"),
             label=data.get("label", ""),
         )
-        if data.get("gap_floor_from_fixture"):
-            inst.gap_floor = fixture_gap_floor(spec, ensemble)
     except KeyError as exc:
         raise InputError(f"instance file missing field {exc}")
+    except InputError:
+        raise
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"malformed instance field: {exc}")
+    if data.get("gap_floor_from_fixture"):
+        inst.gap_floor = fixture_gap_floor(spec, ensemble)
     return inst, data
 
 
@@ -308,15 +313,13 @@ def cmd_decide(args):
 def cmd_sample_good(args):
     if args.mode == "anchored":
         rate = estimate_bad_rate_anchored(
-            args.n, _fraction(args.alpha), args.L, args.samples, args.seed
+            args.n, args.alpha, args.L, args.samples, args.seed
         )
-        bound = good_rate_bounds(
-            EnsembleParams("anchored", args.L, _fraction(args.alpha)), args.n
-        )
+        bound = good_rate_bounds(EnsembleParams("anchored", args.L, args.alpha), args.n)
     else:
         rate = estimate_bad_rate_iid(args.n, args.l, args.L, args.samples, args.seed)
         bound = good_rate_bounds(
-            EnsembleParams("iid", args.L, _fraction(args.alpha), l=args.l), args.n
+            EnsembleParams("iid", args.L, args.alpha, l=args.l), args.n
         )
     payload = {
         "version": __version__,
@@ -332,11 +335,10 @@ def cmd_sample_good(args):
 
 
 def cmd_phase_decode(args):
-    if args.v:
-        enc = encode_input(args.v)
-        beta = enc.beta
+    if args.v is not None:
+        beta = encode_input(args.v).beta
     else:
-        beta = _fraction(args.beta)
+        beta = args.beta
     n, v = phase_decode(beta, args.n_prime)
     payload = {
         "version": __version__,
@@ -355,25 +357,30 @@ def cmd_phase_decode(args):
 
 def _add_machine_opts(p):
     p.add_argument("--machine", help="machine spec JSON file")
-    p.add_argument("--inner", default="halt_now", help="inner fixture name")
+    p.add_argument("--inner", default="halt_now", choices=FIXTURES, help="inner fixture name")
     p.add_argument("--variant", default="one-way-amp", choices=VARIANTS)
     p.add_argument("--no-decode", action="store_true", help="skip the decode stage")
 
 
 def _add_config_opts(p):
     p.add_argument("--L", type=int, default=8, help="tape length (cells)")
-    p.add_argument("--alpha", default=None, help="simulation-cell rate (fraction)")
+    p.add_argument("--alpha", type=fraction, default=None,
+                   help="simulation-cell rate (fraction)")
     p.add_argument("--m-count", type=int, default=None, help="simulation cells, explicit count")
     p.add_argument("--boundary", default="periodic", choices=("periodic", "open"))
     p.add_argument("--max-steps", type=int, default=200000)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are input errors: one line on stderr and exit 2."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(prog="hamca", description=__doc__)
+    ap = _Parser(prog="hamca", description=__doc__)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--threads", type=int, default=1,
-                    help="parallelism cap; results are identical for any value")
-    ap.add_argument("--format", default="json", choices=("json", "csv"))
     sub = ap.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("build-machine", help="emit a machine spec JSON")
@@ -420,7 +427,7 @@ def build_parser():
     p = sub.add_parser("sample-good", help="Monte Carlo bad-rate versus the bound")
     p.add_argument("--mode", default="anchored", choices=("anchored", "iid"))
     p.add_argument("--n", type=int, default=64)
-    p.add_argument("--alpha", default="1/8")
+    p.add_argument("--alpha", type=fraction, default="1/8")
     p.add_argument("--l", type=int, default=2)
     p.add_argument("--L", type=int, default=2**18)
     p.add_argument("--samples", type=int, default=100000)
@@ -428,8 +435,9 @@ def build_parser():
     p.set_defaults(func=cmd_sample_good)
 
     p = sub.add_parser("phase-decode", help="recover bits from the rotation angle")
-    p.add_argument("--v", help="bit string (for round-trip use)")
-    p.add_argument("--beta", help="angle as a fraction p/q")
+    given = p.add_mutually_exclusive_group(required=True)
+    given.add_argument("--v", help="bit string (for round-trip use)")
+    given.add_argument("--beta", type=fraction, help="angle as a fraction p/q")
     p.add_argument("--n-prime", type=int, default=12)
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_phase_decode)
@@ -438,13 +446,12 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (InputError, PromiseViolated, NoValidCodeword, OraclePromiseViolated,
-            NotReversible, MalformedConfiguration, InvalidThresholds,
-            GapViolation, FileNotFoundError) as exc:
+    except (InputError, PromiseViolated, ParamsViolation, NoValidCodeword,
+            OraclePromiseViolated, NotReversible, MalformedConfiguration,
+            InvalidThresholds, GapViolation, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (DimensionGuard, TruncatedOrbit) as exc:

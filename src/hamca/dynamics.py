@@ -21,11 +21,20 @@ import numpy as np
 from .hamiltonian import (
     DimensionGuard,
     LocalHamiltonian,
+    OrbitSpectrum,
     ReachableSpace,
     TruncatedOrbit,
+    orbit_spectrum,
     reachable_space,
 )
-from .machine import Configuration, Orbit
+from .machine import (
+    MINUS,
+    Configuration,
+    MalformedConfiguration,
+    Orbit,
+    is_control,
+    split_blocks,
+)
 
 DEFAULT_GUARD = 1 << 20
 
@@ -42,30 +51,8 @@ class OrbitAmplitudes:
     amps: np.ndarray  # complex, index j-1 for j = 1..J
 
 
-def path_amplitudes(J: int, t: float) -> np.ndarray:
-    """<j| exp(-i t H_path) |1> for the J-site path, all j, closed form."""
-    k = np.arange(1, J + 1)
-    lam = 2 * np.cos(k * np.pi / (J + 1))
-    phase = np.exp(-1j * lam * t) * np.sin(k * np.pi / (J + 1))
-    j = np.arange(1, J + 1)
-    return (2.0 / (J + 1)) * np.sin(np.outer(j, k) * np.pi / (J + 1)) @ phase
-
-
-def cycle_amplitudes(J: int, t: float) -> np.ndarray:
-    """<j| exp(-i t H_cycle) |1> for the J-cycle, Fourier form."""
-    k = np.arange(J)
-    lam = 2 * np.cos(2 * np.pi * k / J)
-    phase = np.exp(-1j * lam * t) / J
-    j = np.arange(J)
-    return np.exp(2j * np.pi * np.outer(j, k) / J) @ phase
-
-
 def evolve_spectral(orbit: Orbit, t: float) -> OrbitAmplitudes:
-    if orbit.kind == "truncated":
-        raise TruncatedOrbit("spectral evolution needs a complete orbit")
-    J = orbit.length
-    amps = path_amplitudes(J, t) if orbit.kind == "dead_end" else cycle_amplitudes(J, t)
-    return OrbitAmplitudes(orbit, t, amps)
+    return OrbitAmplitudes(orbit, t, orbit_spectrum(orbit).amplitudes([t])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -158,19 +145,18 @@ def pair_weight_matrix(J: int, kind: str) -> np.ndarray:
                 if 1 <= jp <= J:
                     w[j - 1, jp - 1] = float(4 * trig_kernel(J, j, jp)) / (J + 1) ** 2
         return w
-    # cycle: group equal eigenvalues, then average the Fourier phases
-    k = np.arange(J)
-    lam = 2 * np.cos(2 * np.pi * k / J)
+    # cycle: group equal eigenvalues, then project the first step onto each
+    spec = OrbitSpectrum.of("cycle", J)
+    lam, vecs = spec.eigenvalues, spec.vectors
     order = np.argsort(lam)
     w = np.zeros((J, J), dtype=complex)
-    j = np.arange(J)
     start = 0
     while start < J:
         end = start
         while end + 1 < J and lam[order[end + 1]] - lam[order[start]] < 1e-9:
             end += 1
         group = order[start : end + 1]
-        amp1 = np.sum(np.exp(2j * np.pi * np.outer(j, group) / J), axis=1) / J
+        amp1 = vecs[:, group] @ np.conj(vecs[0, group])
         w += np.outer(amp1, amp1.conj())
         start = end + 1
     return w
@@ -213,15 +199,16 @@ class OrbitSiteData:
     """Per-orbit data for space-averaged single-site matrix elements.
 
     ``hist``: (J, d) integer counts of each site value per step.
-    ``cross``: list of (j, j', value_index_j, value_index_j') for pairs of
-    steps whose configurations differ at exactly one site; only such pairs
+    ``cross``: (n_cross, 4) integer rows (j, j', v, v') for the ordered pairs
+    of steps (0-based) whose configurations differ at exactly one site, that
+    site holding value index v at step j and v' at step j'; only such pairs
     contribute off-diagonal step-cross terms.
     """
 
     J: int
     n_sites: int
     hist: np.ndarray
-    cross: list
+    cross: np.ndarray
 
 
 def orbit_site_data(orbit: Orbit, h: LocalHamiltonian) -> OrbitSiteData:
@@ -230,49 +217,55 @@ def orbit_site_data(orbit: Orbit, h: LocalHamiltonian) -> OrbitSiteData:
         [[idx[x] for x in cfg.cells] for cfg in orbit.states], dtype=np.int32
     )
     J, n = arr.shape
-    d = h.site_dim
-    hist = np.zeros((J, d), dtype=np.int64)
-    for j in range(J):
-        np.add.at(hist[j], arr[j], 1)
-    cross = []
-    for j in range(J):
+    hist = np.zeros((J, h.site_dim), dtype=np.int64)
+    np.add.at(hist, (np.arange(J)[:, None], arr), 1)
+    cross = [np.zeros((0, 4), dtype=np.int64)]
+    for j in range(J):  # row by row: a J x J x n difference array would not fit
         diff = arr != arr[j]
-        counts = diff.sum(axis=1)
-        for jp in np.nonzero(counts == 1)[0]:
-            if jp == j:
-                continue
-            i0 = int(np.nonzero(diff[jp])[0][0])
-            cross.append((j + 1, int(jp) + 1, int(arr[j, i0]), int(arr[jp, i0])))
-    return OrbitSiteData(J=J, n_sites=n, hist=hist, cross=cross)
+        jps = np.nonzero(diff.sum(axis=1) == 1)[0]
+        site = diff[jps].argmax(axis=1)
+        cross.append(
+            np.stack([np.full_like(jps, j), jps, arr[j, site], arr[jps, site]], axis=1)
+        )
+    return OrbitSiteData(J=J, n_sites=n, hist=hist, cross=np.concatenate(cross))
 
 
-def site_average_from_amplitudes(
-    data: OrbitSiteData, amps: np.ndarray, d: int
-) -> np.ndarray:
-    """Space-averaged single-site state of sum_j amps_j |j;x>."""
-    p = np.abs(amps) ** 2
-    rho = np.zeros((d, d), dtype=complex)
-    diag = p @ data.hist
-    rho[np.arange(d), np.arange(d)] = diag
-    for j, jp, vj, vjp in data.cross:
-        rho[vj, vjp] += amps[j - 1] * np.conj(amps[jp - 1])
-    return rho / data.n_sites
+def add_site_states(
+    out: np.ndarray,
+    data: OrbitSiteData,
+    step_w: np.ndarray,
+    pair_w: np.ndarray,
+    weight: float = 1.0,
+) -> None:
+    """Add ``weight`` times the space-averaged site states into ``out`` in place.
+
+    ``step_w`` (..., J) weighs each step's site histogram on the diagonal and
+    ``pair_w`` (..., n_cross) each cross pair of ``data.cross``; ``out`` is
+    (..., d, d) with the same leading shape.  A pure state sum_j a_j |j; x>
+    has step weights |a_j|^2 and pair weights a_j conj(a_j').
+    """
+    d = out.shape[-1]
+    scale = weight / data.n_sites
+    out[..., np.arange(d), np.arange(d)] += scale * (step_w @ data.hist)
+    np.add.at(out, (..., data.cross[:, 2], data.cross[:, 3]), scale * pair_w)
 
 
 def site_average_weighted(data: OrbitSiteData, w: np.ndarray, d: int) -> np.ndarray:
-    """Space-averaged state under a step-pair weight matrix w[j-1, j'-1]."""
+    """Space-averaged state under a step-pair weight matrix w[j, j']."""
     rho = np.zeros((d, d), dtype=complex)
-    diag = np.real(np.einsum("jj,jd->d", w, data.hist.astype(float)))
-    rho[np.arange(d), np.arange(d)] = diag
-    for j, jp, vj, vjp in data.cross:
-        rho[vj, vjp] += w[j - 1, jp - 1]
-    return rho / data.n_sites
+    add_site_states(rho, data, np.real(np.diag(w)), w[data.cross[:, 0], data.cross[:, 1]])
+    return rho
 
 
-def orbit_site_average(orbit: Orbit, h: LocalHamiltonian, t: float) -> np.ndarray:
+def orbit_site_average(orbit: Orbit, h: LocalHamiltonian, t) -> np.ndarray:
+    """Space-averaged site state at time ``t``; for an array of times, the
+    (T, d, d) stack of them, from one pass over the orbit."""
     data = orbit_site_data(orbit, h)
-    amps = evolve_spectral(orbit, t).amps
-    return site_average_from_amplitudes(data, amps, h.site_dim)
+    amps = orbit_spectrum(orbit).amplitudes(np.atleast_1d(t))
+    rho = np.zeros((len(amps), h.site_dim, h.site_dim), dtype=complex)
+    c = data.cross
+    add_site_states(rho, data, np.abs(amps) ** 2, amps[:, c[:, 0]] * np.conj(amps[:, c[:, 1]]))
+    return rho if np.ndim(t) else rho[0]
 
 
 def orbit_longterm_average(orbit: Orbit, h: LocalHamiltonian) -> np.ndarray:
@@ -288,20 +281,30 @@ def member_orbit_terms(h: LocalHamiltonian, cfg: Configuration, max_steps: int):
     A multi-control configuration splits into non-interacting blocks, and the
     space average over the whole lattice is the size-weighted sum of the
     per-block space averages, so each block orbit enters with weight
-    block_size / lattice_size.
+    block_size / lattice_size.  The split is refused when a block orbit ends
+    on a left shift off the start of its block: on the whole lattice that
+    shift enters the neighbouring block, so the blocks interact.
     """
-    from .machine import Orbit as _Orbit
-    from .machine import split_blocks
-
     controls = cfg.control_sites()
     if len(controls) == 0:
         # no control anywhere: the update never acts, the state is frozen
-        return [(_Orbit((cfg,), ("dead_end", 1), None), 1.0)]
+        return [(Orbit((cfg,), ("dead_end", 1), None), 1.0)]
     if len(controls) == 1:
         return [(run_orbit_cached(cfg, h, max_steps), 1.0)]
     out = []
     for block in split_blocks(cfg):
-        out.append((run_orbit_cached(block, h, max_steps), block.size / cfg.size))
+        orbit = run_orbit_cached(block, h, max_steps)
+        head = orbit.states[-1].cells[0]
+        if (
+            orbit.kind == "dead_end"
+            and is_control(head)
+            and head[1] != h.rw_mode
+            and h.shift_dirs.get(head[2]) == MINUS
+        ):
+            raise MalformedConfiguration(
+                "block decomposition refused: a block orbit shifts left off its block"
+            )
+        out.append((orbit, block.size / cfg.size))
     return out
 
 
@@ -350,20 +353,11 @@ def ensemble_site_average(members, h: LocalHamiltonian, t: float, max_steps=1000
     return rho
 
 
-_ORBIT_CACHE = {}  # id(h) -> (strong ref to h, {cells: orbit}); the strong
-# reference pins the id so entries can never alias a recycled object
-
-
 def run_orbit_cached(cfg: Configuration, h: LocalHamiltonian, max_steps: int) -> Orbit:
-    """Forward orbit computed through the compiled update maps."""
+    """Forward orbit stepped through the compiled update maps (``apply_update``),
+    the second route beside ``machine.run_orbit``.  Nothing is cached."""
     from .hamiltonian import ZERO_STATE, apply_update
-    from .machine import Orbit as _Orbit
 
-    _, per_h = _ORBIT_CACHE.setdefault(id(h), (h, {}))
-    key = (cfg.cells, cfg.boundary)
-    hit = per_h.get(key)
-    if hit is not None:
-        return hit
     states = [cfg]
     seen = {cfg.cells}
     current = cfg
@@ -381,9 +375,7 @@ def run_orbit_cached(cfg: Configuration, h: LocalHamiltonian, max_steps: int) ->
         current = nxt
     else:
         terminal = ("truncated", len(states))
-    orbit = _Orbit(tuple(states), terminal, None)
-    per_h[key] = orbit
-    return orbit
+    return Orbit(tuple(states), terminal, None)
 
 
 # ---------------------------------------------------------------------------
@@ -514,13 +506,10 @@ def dephasing_cross_term(
     if orbit_a.kind == "truncated" or orbit_b.kind == "truncated":
         raise TruncatedOrbit("dephasing check needs complete orbits")
     m = pair_overlap_matrix(orbit_a, orbit_b, h, b_matrix)
-    worst = 0.0
-    for t in ts:
-        aa = evolve_spectral(orbit_a, t).amps
-        ab = evolve_spectral(orbit_b, t).amps
-        val = abs(np.conj(ab) @ m @ aa)
-        worst = max(worst, float(val))
-    return worst
+    aa = orbit_spectrum(orbit_a).amplitudes(ts)
+    ab = orbit_spectrum(orbit_b).amplitudes(ts)
+    vals = np.abs(np.sum((np.conj(ab) @ m) * aa, axis=1))
+    return float(np.max(vals, initial=0.0))
 
 
 def space_average_operator(ds: DenseSpace, b_matrix: np.ndarray) -> np.ndarray:

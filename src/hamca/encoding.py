@@ -118,6 +118,12 @@ class EnsembleParams:
     l: int = 0  # block scale, iid only
     boundary: str = "periodic"
 
+    def __post_init__(self):
+        if self.mode not in ("anchored", "iid"):
+            raise ParamsViolation(f"unknown ensemble mode {self.mode!r}")
+        if self.mode == "iid" and self.l < 1:
+            raise ParamsViolation(f"iid mode needs a block scale l >= 1, got {self.l!r}")
+
     def violations(self, n: int) -> list:
         """Threshold checks; desk-scale runs record these instead of failing."""
         out = []

@@ -51,7 +51,7 @@ class LocalHamiltonian:
     rw_mode: int
     u0_pairs: dict  # ((mode,q), cell) -> ((mode',q'), cell')
     shift_dirs: dict  # state -> "+" | "-" | "0" for shift-enabled states
-    boundary: str = "periodic"
+    boundary: str = "periodic"  # as compiled; each configuration steps under its own
 
     @property
     def site_dim(self) -> int:
@@ -104,12 +104,16 @@ class Zero:
 ZERO_STATE = Zero()
 
 
-def _apply_at(h: LocalHamiltonian, cells, i, n, dagger=False):
-    """Apply the (possibly adjoint) update at control site i; None if null."""
-    periodic = h.boundary == "periodic"
+def _apply_at(h: LocalHamiltonian, cells, i, boundary, dagger=False):
+    """Apply the (possibly adjoint) update at control site i; None if null.
+
+    Sites wrap under the configuration's own ``boundary``, as in
+    ``machine.step``, so an open block steps as open on any ``h``.
+    """
+    n = len(cells)
 
     def site(k):
-        if periodic:
+        if boundary == "periodic":
             return k % n
         return k if 0 <= k < n else None
 
@@ -175,7 +179,7 @@ def _apply_at(h: LocalHamiltonian, cells, i, n, dagger=False):
 def apply_update(h: LocalHamiltonian, config: Configuration):
     """U applied to a single-control basis configuration."""
     i = config.single_control()
-    out = _apply_at(h, config.cells, i, config.size, dagger=False)
+    out = _apply_at(h, config.cells, i, config.boundary, dagger=False)
     if out is None:
         return ZERO_STATE
     return Configuration(out, config.boundary)
@@ -184,17 +188,17 @@ def apply_update(h: LocalHamiltonian, config: Configuration):
 def apply_update_dagger(h: LocalHamiltonian, config: Configuration):
     """U† applied to a single-control basis configuration."""
     i = config.single_control()
-    out = _apply_at(h, config.cells, i, config.size, dagger=True)
+    out = _apply_at(h, config.cells, i, config.boundary, dagger=True)
     if out is None:
         return ZERO_STATE
     return Configuration(out, config.boundary)
 
 
-def _branches(h: LocalHamiltonian, cells, n, dagger):
+def _branches(h: LocalHamiltonian, cells, boundary, dagger):
     outs = []
     for i, x in enumerate(cells):
         if is_control(x):
-            out = _apply_at(h, cells, i, n, dagger=dagger)
+            out = _apply_at(h, cells, i, boundary, dagger=dagger)
             if out is not None:
                 outs.append(out)
     return outs
@@ -247,9 +251,8 @@ def reachable_space(
     edges = set()
     while frontier:
         cells = frontier.pop()
-        n = len(cells)
         k = index[cells]
-        for t_cells in _branches(h, cells, n, dagger=False):
+        for t_cells in _branches(h, cells, boundary, dagger=False):
             if t_cells not in index:
                 if len(basis) >= guard:
                     raise DimensionGuard(f"reachable subspace exceeds {guard} states")
@@ -257,7 +260,7 @@ def reachable_space(
                 basis.append(t_cells)
                 frontier.append(t_cells)
             edges.add((k, index[t_cells]))
-        for s_cells in _branches(h, cells, n, dagger=True):
+        for s_cells in _branches(h, cells, boundary, dagger=True):
             if s_cells not in index:
                 if len(basis) >= guard:
                     raise DimensionGuard(f"reachable subspace exceeds {guard} states")
@@ -275,10 +278,36 @@ def reachable_space(
 
 @dataclass(frozen=True)
 class OrbitSpectrum:
+    """Eigendata of H on the span of a J-orbit: the one home of its closed forms.
+
+    Dead-end orbits carry the J-site path spectrum 2cos(k pi/(J+1)) with sine
+    eigenvectors; cyclic orbits carry the circulant spectrum 2cos(2 pi k/J)
+    with Fourier eigenvectors.
+    """
+
     kind: str  # "dead_end" or "cycle"
     length: int
     eigenvalues: np.ndarray
     vectors: np.ndarray  # columns are eigenvectors over j = 1..J
+
+    @classmethod
+    def of(cls, kind: str, J: int) -> "OrbitSpectrum":
+        if kind == "dead_end":
+            k = np.arange(1, J + 1)
+            lam = 2 * np.cos(k * np.pi / (J + 1))
+            j = np.arange(1, J + 1)[:, None]
+            vecs = np.sqrt(2.0 / (J + 1)) * np.sin(j * k[None, :] * np.pi / (J + 1))
+            return cls("dead_end", J, lam, vecs)
+        k = np.arange(J)
+        lam = 2 * np.cos(2 * np.pi * k / J)
+        j = np.arange(J)[:, None]
+        vecs = np.exp(2j * np.pi * k[None, :] * j / J) / np.sqrt(J)
+        return cls("cycle", J, lam, vecs)
+
+    def amplitudes(self, ts) -> np.ndarray:
+        """<j| exp(-i t H) |1> for every t in ``ts`` and j = 1..J, shape (T, J)."""
+        phases = np.exp(-1j * np.outer(ts, self.eigenvalues)) * np.conj(self.vectors[0])
+        return phases @ self.vectors.T
 
     def distinct_gaps(self, tol: float = 1e-9) -> np.ndarray:
         lam = np.sort(np.unique(np.round(self.eigenvalues / tol) * tol))
@@ -286,26 +315,10 @@ class OrbitSpectrum:
 
 
 def orbit_spectrum(orbit: Orbit) -> OrbitSpectrum:
-    """Eigendata of H restricted to the orbit span.
-
-    Dead-end orbits carry the J-site path spectrum 2cos(k pi/(J+1)) with sine
-    eigenvectors; cyclic orbits carry the circulant spectrum 2cos(2 pi k/J)
-    with Fourier eigenvectors.
-    """
-    J = orbit.length
+    """Eigendata of H restricted to the orbit span."""
     if orbit.kind == "truncated":
         raise TruncatedOrbit("spectrum needs a complete orbit")
-    if orbit.kind == "dead_end":
-        k = np.arange(1, J + 1)
-        lam = 2 * np.cos(k * np.pi / (J + 1))
-        j = np.arange(1, J + 1)[:, None]
-        vecs = np.sqrt(2.0 / (J + 1)) * np.sin(j * k[None, :] * np.pi / (J + 1))
-        return OrbitSpectrum("dead_end", J, lam, vecs)
-    k = np.arange(J)
-    lam = 2 * np.cos(2 * np.pi * k / J)
-    j = np.arange(J)[:, None]
-    vecs = np.exp(2j * np.pi * k[None, :] * j / J) / np.sqrt(J)
-    return OrbitSpectrum("cycle", J, lam, vecs)
+    return OrbitSpectrum.of(orbit.kind, orbit.length)
 
 
 def energy_gap_bound(orbit: Orbit) -> Fraction:

@@ -248,15 +248,15 @@ def build_staged_machine(
     s_pass = (BLANK,) + tuple(inner.work_symbols)
     stage_marks = {}
 
-    def wire_front(scan, rewind, entry, target):
-        """boot or re-entry side of decode; ``entry`` receives the mark read."""
+    def wire_front(scan, rewind, target):
+        """boot or re-entry side of decode"""
         if include_decode:
             _decode_rules(rules, classes, a_plain, s_pass, scan, rewind, target)
             return scan
         return target
 
     # stage 1: mark the first cell
-    first = wire_front("scan", "rewind", None, inner.init_state)
+    first = wire_front("scan", "rewind", inner.init_state)
     rules[("boot", a_cell("a1"))] = (first, a_cell(MARK))
     for b1, b2 in BITS:
         rules[("boot", m_cell(b1, b2, BLANK))] = (first, m_cell(b1, b2, MARK))
@@ -308,7 +308,7 @@ def build_staged_machine(
             _ident(rules, "amp1", m_skip)
             rules[("amp1", a_cell("a1"))] = ("amp2", a_cell("a3"))
             _ident(rules, "amp2", [a_cell("a2")] + m_skip)
-            re_first = wire_front("re.scan", "re.rewind", None, re_inner.init_state)
+            re_first = wire_front("re.scan", "re.rewind", re_inner.init_state)
             for c in _mark_cells():
                 rules[("amp2", c)] = (re_first, c)
             classes.update(re_inner.classes)

@@ -20,11 +20,10 @@ from fractions import Fraction
 import numpy as np
 
 from .dynamics import (
+    add_site_states,
     member_orbit_terms,
     orbit_site_data,
-    pair_weight_matrix,
     run_orbit_cached,
-    site_average_weighted,
     trace_distance,
 )
 from .encoding import InitialEnsemble
@@ -219,7 +218,6 @@ class _EnsembleGridAverager:
         self.h = h
         self.members = []
         self.member_blocks = []  # per ensemble member: list of orbits
-        self.max_J = 1
         for cfg, w in ensemble.members:
             terms = member_orbit_terms(h, cfg, budget)
             block_orbits = []
@@ -230,44 +228,22 @@ class _EnsembleGridAverager:
                     )
                 data = orbit_site_data(orbit, h)
                 self.members.append((orbit, data, float(w) * scale))
-                self.max_J = max(self.max_J, orbit.length)
                 block_orbits.append(orbit)
             self.member_blocks.append(block_orbits)
 
     def states_at(self, ts: np.ndarray) -> np.ndarray:
         d = self.h.site_dim
         out = np.zeros((len(ts), d, d), dtype=complex)
+        by_shape = {}  # amplitudes depend only on (J, kind)
         for orbit, data, w in self.members:
-            J = orbit.length
-            if orbit.kind == "dead_end":
-                k = np.arange(1, J + 1)
-                lam = 2 * np.cos(k * np.pi / (J + 1))
-                sin1 = np.sin(k * np.pi / (J + 1))
-                sinjk = np.sin(
-                    np.outer(np.arange(1, J + 1), k) * np.pi / (J + 1)
-                )
-                phases = np.exp(-1j * np.outer(ts, lam)) * sin1[None, :]
-                amps = (2.0 / (J + 1)) * phases @ sinjk.T  # (T, J)
-            else:
-                k = np.arange(J)
-                lam = 2 * np.cos(2 * np.pi * k / J)
-                four = np.exp(2j * np.pi * np.outer(np.arange(J), k) / J) / J
-                amps = np.exp(-1j * np.outer(ts, lam)) @ four.T
-            probs = np.abs(amps) ** 2  # (T, J)
-            diag = probs @ data.hist.astype(float) / data.n_sites  # (T, d)
-            for ti in range(len(ts)):
-                np.fill_diagonal(out[ti], out[ti].diagonal() + w * diag[ti])
-            for j, jp, vj, vjp in data.cross:
-                out[:, vj, vjp] += w * amps[:, j - 1] * np.conj(amps[:, jp - 1]) / data.n_sites
+            key = (orbit.length, orbit.kind)
+            if key not in by_shape:
+                amps = orbit_spectrum(orbit).amplitudes(ts)
+                by_shape[key] = (amps, np.abs(amps) ** 2)
+            amps, probs = by_shape[key]
+            c = data.cross
+            add_site_states(out, data, probs, amps[:, c[:, 0]] * np.conj(amps[:, c[:, 1]]), w)
         return out
-
-    def longterm(self) -> np.ndarray:
-        d = self.h.site_dim
-        rho = np.zeros((d, d), dtype=complex)
-        for orbit, data, w in self.members:
-            wmat = pair_weight_matrix(orbit.length, orbit.kind)
-            rho += w * site_average_weighted(data, wmat, d)
-        return rho
 
     def min_orbit_gap(self, product_guard: int = 200000) -> float:
         """Smallest distinct-eigenvalue gap over the reachable spectra.

@@ -2,7 +2,15 @@
 
 import json
 
+import numpy as np
+import pytest
+
 from hamca.cli import main
+from hamca.dynamics import orbit_site_average, run_orbit_cached, trace_distance
+from hamca.encoding import anchored_configuration
+from hamca.hamiltonian import compile_machine
+from hamca.machine import a_cell
+from hamca.staged import build_staged_machine
 
 
 def run(args):
@@ -48,18 +56,70 @@ def test_gap_verb(tmp_path):
 
 
 def test_evolve_deterministic(tmp_path):
-    a, b, c = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "c.csv"
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["evolve", "--inner", "halt_now", "--variant", "one-way-amp",
             "--no-decode", "--L", "5", "--t-max", "4", "--t-steps", "6"]
     assert run(args + ["--out", str(a)]) == 0
     assert run(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
-    # the parallelism cap never changes the bytes
-    assert run(["--threads", "4"] + args + ["--out", str(c)]) == 0
-    assert a.read_text().replace('"threads": 1', '"threads": 4') == c.read_text()
     body = a.read_text()
     assert "unhalved" in body
     assert "dist_to_a1" in body
+
+
+def test_evolve_rows_match_per_time_average(tmp_path):
+    """The batched evolve verb prints the per-time orbit_site_average."""
+    out = tmp_path / "e.csv"
+    assert run(["evolve", "--inner", "halt_now", "--variant", "two-way-amp",
+                "--no-decode", "--L", "5", "--t-max", "9", "--t-steps", "7",
+                "--out", str(out)]) == 0
+    rows = [[float(x) for x in ln.split(",")]
+            for ln in out.read_text().splitlines() if ln[0].isdigit()]
+    spec = build_staged_machine("halt_now", "two-way-amp", include_decode=False)
+    h = compile_machine(spec)
+    orbit = run_orbit_cached(anchored_configuration(spec, 5), h, 10_000)
+    i1, i2 = h.value_index(a_cell("a1")), h.value_index(a_cell("a2"))
+    e1 = np.zeros((h.site_dim, h.site_dim))
+    e1[i1, i1] = 1.0
+    ts = np.linspace(0.0, 9.0, 7)
+    batch = orbit_site_average(orbit, h, ts)
+    assert len(rows) == 7
+    for k, (t, p1, p2, re12, im12, dist, _) in enumerate(rows):
+        rho = orbit_site_average(orbit, h, ts[k])
+        assert np.abs(batch[k] - rho).max() < 1e-12
+        want = [ts[k], rho[i1, i1].real, rho[i2, i2].real, rho[i1, i2].real,
+                rho[i1, i2].imag, trace_distance(rho, e1)]
+        # rows carry 12 significant digits
+        assert np.allclose([t, p1, p2, re12, im12, dist], want, rtol=1e-11, atol=1e-12)
+
+
+_INSTANCE = {"inner": "halt_now", "variant": "one-way-amp", "decode": False,
+             "mode": "anchored", "L": 3, "alpha": [0, 1], "v": "1",
+             "eta": 0.846, "eps1": 0.35, "t0_override": 20}
+
+
+@pytest.mark.parametrize("argv, instance", [
+    (["phase-decode"], None),
+    (["phase-decode", "--beta", "1/0"], None),
+    (["orbit", "--inner", "nope"], None),
+    (["sample-good", "--alpha", "x"], None),
+    (["decide"], {"mode": "bogus"}),
+    (["decide"], {"mode": "iid"}),
+    (["decide"], {"eta": "x"}),
+    (["decide"], {"alpha": [1, 0]}),
+    (["decide"], {"variant": "nope"}),
+    (["decide", "--override-params"],
+     {"variant": "two-way-amp", "mode": "iid", "L": 4, "l": 2}),
+])
+def test_malformed_input_exit_2(tmp_path, capsys, argv, instance):
+    """Every malformed input exits 2 with a one-line message, no traceback."""
+    if instance is not None:
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({**_INSTANCE, **instance}))
+        argv = argv + [str(path)]
+    assert run(argv) == 2
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1 and err[0].startswith("error:")
 
 
 def test_evolve_initial_distance_small(tmp_path):

@@ -19,6 +19,7 @@ from hamca.dynamics import (
     orbit_site_average,
     orbit_site_data,
     overlap_kernel,
+    pair_overlap_matrix,
     pair_weight_matrix,
     run_orbit_cached,
     time_avg_probs,
@@ -251,6 +252,24 @@ def test_dephasing_distinct_initials(oneway, h_oneway, rng):
         assert dephasing_cross_term(h_oneway, x, xbits, b, ts) <= 1e-12
     # diagonal term is generically nonzero
     assert dephasing_cross_term(h_oneway, x, x, b11, ts) > 1e-3
+
+
+def test_dephasing_batched_matches_per_time(oneway, h_oneway, rng):
+    """All times in one batch give the per-time maximum of |<x'(t)|B|x(t)>|."""
+    d = h_oneway.site_dim
+    b = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    ts = rng.uniform(0, 40, 20)
+    x = anchored_configuration(oneway, 5, {2: (0, 1)})
+    for xp in (x, anchored_configuration(oneway, 5, {2: (1, 1)})):
+        oa = run_orbit_cached(x, h_oneway, 10_000)
+        ob = run_orbit_cached(xp, h_oneway, 10_000)
+        m = pair_overlap_matrix(oa, ob, h_oneway, b)
+        per_t = max(
+            abs(np.conj(evolve_spectral(ob, t).amps) @ m @ evolve_spectral(oa, t).amps)
+            for t in ts
+        )
+        assert per_t > 1e-3
+        assert abs(dephasing_cross_term(h_oneway, x, xp, b, ts) - per_t) < 1e-12
 
 
 def test_dephasing_iid_block_splits(iid_nd, rng):

@@ -1,10 +1,18 @@
 """Compilation to local pair maps, the update isometry, orbit spectra."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from hamca.dynamics import run_orbit_cached
-from hamca.encoding import anchored_configuration, scattered_m_sites
+from hamca.encoding import (
+    EnsembleParams,
+    anchored_configuration,
+    build_initial_ensemble,
+    encode_input,
+    scattered_m_sites,
+)
 from hamca.hamiltonian import (
     ZERO_STATE,
     apply_update,
@@ -26,8 +34,10 @@ from hamca.machine import (
     a_cell,
     control,
     run_orbit,
+    split_blocks,
     step,
 )
+from hamca.staged import VARIANTS, build_staged_machine
 
 
 def test_update_agrees_with_step_along_runs(oneway, h_oneway, rng):
@@ -110,6 +120,27 @@ def test_block_isolation_structural(iid_nd):
     j1 = run_orbit_cached(blocks[0], h, 1000).length
     j2 = run_orbit_cached(blocks[1], h, 1000).length
     assert space.dim == j1 * j2
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_block_orbits_agree_on_both_routes(variant):
+    """Open blocks step under their own boundary on the compiled route, as
+    they do under machine.step, whatever boundary h was compiled with."""
+    spec = build_staged_machine("halt_now", variant)
+    h = compile_machine(spec)
+    blocks = set()
+    for L in (4, 5):
+        params = EnsembleParams("iid", L=L, alpha=Fraction(1, 2), l=2)
+        ens = build_initial_ensemble(spec, params, encode_input("1", Fraction(1, 2)))
+        for cfg, _ in ens.members:
+            if len(cfg.control_sites()) > 1:
+                blocks.update(split_blocks(cfg))
+    assert len(blocks) > 50
+    for block in blocks:
+        ref = run_orbit(spec, block, 10_000)
+        got = run_orbit_cached(block, h, 10_000)
+        assert got.terminal == ref.terminal
+        assert [c.cells for c in got.states] == [c.cells for c in ref.states]
 
 
 def test_spectrum_examples():

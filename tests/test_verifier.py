@@ -1,20 +1,29 @@
 """Decision machinery: grids, threshold checks, truncation, reductions."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from hamca.dynamics import orbit_site_average, run_orbit_cached, trace_distance
+from hamca.dynamics import (
+    ensemble_site_average,
+    orbit_site_average,
+    run_orbit_cached,
+    trace_distance,
+)
 from hamca.encoding import (
     EnsembleParams,
     anchored_configuration,
     build_initial_ensemble,
     encode_input,
 )
+from hamca.hamiltonian import compile_machine
+from hamca.machine import Configuration, MalformedConfiguration, a_cell, control
 from hamca.staged import build_staged_machine
 from hamca.verifier import (
     DecisionInstance,
+    _EnsembleGridAverager,
     DegenerateObservable,
     GapViolation,
     InvalidThresholds,
@@ -168,6 +177,38 @@ def test_decide_block_mode():
     )
     inst.gap_floor = Fraction(1, 10**6)
     assert decide_finite(inst).verdict == "yes"
+
+
+def test_block_mode_refuses_interacting_blocks():
+    """Two-way blocks of an iid ensemble end on a left shift off their block,
+    which on the whole lattice enters the neighbouring block."""
+    spec = build_staged_machine("halt_now", "two-way-amp", include_decode=False)
+    params = EnsembleParams("iid", L=4, alpha=Fraction(0), l=2)
+    ens = build_initial_ensemble(spec, params, encode_input("1", Fraction(0)))
+    inst = DecisionInstance(machine=spec, ensemble=ens, eta=0.846, eps1=0.35,
+                            t0_override=20)
+    with pytest.raises(MalformedConfiguration):
+        decide_finite(inst)
+
+
+def test_states_at_matches_per_member_sum(shuttle, oneway):
+    """Grouped grid states equal the per-member sum of orbit_site_average,
+    for a cycle orbit, a block member and a many-shape anchored ensemble."""
+    glide, a1, a2 = control(0, "glide"), a_cell("a1"), a_cell("a2")
+    mixed = [(Configuration((glide, a1, a2, a1)), Fraction(1, 3)),
+             (Configuration((glide, a1, a2, glide, a1, a1)), Fraction(2, 3))]
+    params = EnsembleParams("anchored", L=3, alpha=Fraction(1, 4))
+    anchored = build_initial_ensemble(oneway, params, encode_input("1", Fraction(1, 4)))
+    ts = np.linspace(0.0, 7.0, 9)
+    for spec, members, kinds in ((shuttle, mixed, {"cycle", "dead_end"}),
+                                 (oneway, anchored.members, {"dead_end"})):
+        h = compile_machine(spec)
+        avger = _EnsembleGridAverager(h, SimpleNamespace(members=members), 1000)
+        assert {orbit.kind for orbit, _, _ in avger.members} == kinds
+        got = avger.states_at(ts)
+        for k, t in enumerate(ts):
+            want = ensemble_site_average(members, h, t)
+            assert np.abs(got[k] - want).max() < 1e-12
 
 
 def test_semi_decide_budget_zero():
