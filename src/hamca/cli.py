@@ -18,6 +18,7 @@ import numpy as np
 
 from . import __version__
 from .dynamics import (
+    basis_state,
     orbit_longterm_average,
     orbit_site_average,
     run_orbit_cached,
@@ -62,6 +63,7 @@ from .verifier import (
     DecisionInstance,
     GapViolation,
     InvalidThresholds,
+    PromiseViolation,
     decide_finite,
     fixture_gap_floor,
     semi_decide,
@@ -80,14 +82,19 @@ def fraction(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}")
 
 
+def _load_machine(path):
+    """A spec file that loads and validates; InputError otherwise."""
+    try:
+        return load_spec(path)
+    except FileNotFoundError:
+        raise InputError(f"machine spec not found: {path}")
+    except (KeyError, ValueError) as exc:
+        raise InputError(f"malformed machine spec: {exc}")
+
+
 def _machine_from_args(args):
     if getattr(args, "machine", None):
-        try:
-            return load_spec(args.machine)
-        except FileNotFoundError:
-            raise InputError(f"machine spec not found: {args.machine}")
-        except (KeyError, ValueError, json.JSONDecodeError) as exc:
-            raise InputError(f"malformed machine spec: {exc}")
+        return _load_machine(args.machine)
     return build_staged_machine(
         args.inner, args.variant, include_decode=not args.no_decode
     )
@@ -185,14 +192,10 @@ def cmd_evolve(args):
     orbit = run_orbit_cached(config, h, args.max_steps)
     if orbit.kind == "truncated":
         raise TruncatedOrbit("orbit did not close within the step budget")
-    d = h.site_dim
     i1 = h.value_index(a_cell("a1"))
     i2 = h.value_index(a_cell("a2"))
-    e1 = np.zeros((d, d), dtype=complex)
-    e1[i1, i1] = 1.0
-    mix = np.zeros((d, d), dtype=complex)
-    mix[i1, i1] = 0.5
-    mix[i2, i2] = 0.5
+    e1 = basis_state(h, a_cell("a1"))
+    mix = 0.5 * (e1 + basis_state(h, a_cell("a2")))
     ts = np.linspace(0.0, args.t_max, args.t_steps)
     lines = _header_lines(args, {"J": orbit.length})
     lines.append(
@@ -225,10 +228,7 @@ def cmd_timeavg(args):
     if orbit.kind == "truncated":
         raise TruncatedOrbit("orbit did not close within the step budget")
     rho = orbit_longterm_average(orbit, h)
-    d = h.site_dim
-    i1 = h.value_index(a_cell("a1"))
-    e1 = np.zeros((d, d), dtype=complex)
-    e1[i1, i1] = 1.0
+    e1 = basis_state(h, a_cell("a1"))
     payload = {
         "version": __version__,
         "J": orbit.length,
@@ -251,10 +251,7 @@ def _instance_from_file(path, t0_override=None):
         raise InputError(f"malformed instance JSON: {exc}")
     try:
         if "machine_ref" in data:
-            try:
-                spec = load_spec(data["machine_ref"])
-            except FileNotFoundError:
-                raise InputError(f"machine spec not found: {data['machine_ref']}")
+            spec = _load_machine(data["machine_ref"])
         else:
             spec = build_staged_machine(
                 data["inner"], data["variant"], include_decode=data.get("decode", True)
@@ -454,7 +451,7 @@ def main(argv=None) -> int:
             InvalidThresholds, GapViolation, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DimensionGuard, TruncatedOrbit) as exc:
+    except (DimensionGuard, TruncatedOrbit, PromiseViolation) as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return 3
     except AssertionError as exc:  # pragma: no cover

@@ -24,6 +24,7 @@ from .hamiltonian import (
     OrbitSpectrum,
     ReachableSpace,
     TruncatedOrbit,
+    apply_update,
     orbit_spectrum,
     reachable_space,
 )
@@ -33,6 +34,7 @@ from .machine import (
     MalformedConfiguration,
     Orbit,
     is_control,
+    orbit_of,
     split_blocks,
 )
 
@@ -281,22 +283,24 @@ def member_orbit_terms(h: LocalHamiltonian, cfg: Configuration, max_steps: int):
     A multi-control configuration splits into non-interacting blocks, and the
     space average over the whole lattice is the size-weighted sum of the
     per-block space averages, so each block orbit enters with weight
-    block_size / lattice_size.  The split is refused when a block orbit ends
-    on a left shift off the start of its block: on the whole lattice that
-    shift enters the neighbouring block, so the blocks interact.
+    block_size / lattice_size.  A control-free part (the whole configuration,
+    or the cells left of the first control on an open lattice) is frozen.
+    The split is refused when a block orbit ends on a left shift off the
+    start of its block: on the whole lattice that shift enters the
+    neighbouring block, so the blocks interact.
     """
-    controls = cfg.control_sites()
-    if len(controls) == 0:
-        # no control anywhere: the update never acts, the state is frozen
-        return [(Orbit((cfg,), ("dead_end", 1), None), 1.0)]
-    if len(controls) == 1:
-        return [(run_orbit_cached(cfg, h, max_steps), 1.0)]
+    blocks = split_blocks(cfg) if len(cfg.control_sites()) > 1 else [cfg]
     out = []
-    for block in split_blocks(cfg):
+    for block in blocks:
+        if not block.control_sites():
+            # no control: the update never acts, the part is frozen
+            out.append((Orbit((block,), ("dead_end", 1)), block.size / cfg.size))
+            continue
         orbit = run_orbit_cached(block, h, max_steps)
         head = orbit.states[-1].cells[0]
         if (
-            orbit.kind == "dead_end"
+            block is not cfg
+            and orbit.kind == "dead_end"
             and is_control(head)
             and head[1] != h.rw_mode
             and h.shift_dirs.get(head[2]) == MINUS
@@ -356,26 +360,7 @@ def ensemble_site_average(members, h: LocalHamiltonian, t: float, max_steps=1000
 def run_orbit_cached(cfg: Configuration, h: LocalHamiltonian, max_steps: int) -> Orbit:
     """Forward orbit stepped through the compiled update maps (``apply_update``),
     the second route beside ``machine.run_orbit``.  Nothing is cached."""
-    from .hamiltonian import ZERO_STATE, apply_update
-
-    states = [cfg]
-    seen = {cfg.cells}
-    current = cfg
-    terminal = ("truncated", 0)
-    for _ in range(max_steps):
-        nxt = apply_update(h, current)
-        if nxt is ZERO_STATE:
-            terminal = ("dead_end", len(states))
-            break
-        if nxt.cells in seen:
-            terminal = ("cycle", len(states))
-            break
-        states.append(nxt)
-        seen.add(nxt.cells)
-        current = nxt
-    else:
-        terminal = ("truncated", len(states))
-    return Orbit(tuple(states), terminal, None)
+    return orbit_of(lambda c: apply_update(h, c), cfg, max_steps)
 
 
 # ---------------------------------------------------------------------------

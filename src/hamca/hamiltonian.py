@@ -16,22 +16,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
 
 from .machine import (
     MARK,
+    MINUS,
     PLUS,
-    ZERO,
     Configuration,
     MachineSpec,
     NotReversible,
     Orbit,
     cell_to_tag,
     is_control,
+    require_reversible,
     tag_to_cell,
-    validate_reversible,
 )
 
 
@@ -50,12 +51,17 @@ class LocalHamiltonian:
     site_values: tuple  # every value a site can hold (cells and controls)
     rw_mode: int
     u0_pairs: dict  # ((mode,q), cell) -> ((mode',q'), cell')
-    shift_dirs: dict  # state -> "+" | "-" | "0" for shift-enabled states
+    shift_dirs: dict  # state -> "+" | "-", for the shift-enabled states only
     boundary: str = "periodic"  # as compiled; each configuration steps under its own
 
     @property
     def site_dim(self) -> int:
         return len(self.site_values)
+
+    @cached_property
+    def u0_inverse(self) -> dict:
+        """Read-write pairs looked up by their target, for the adjoint."""
+        return {dst: src for src, dst in self.u0_pairs.items()}
 
     def value_index(self, value) -> int:
         return self.site_values.index(value)
@@ -63,9 +69,7 @@ class LocalHamiltonian:
 
 def compile_machine(spec: MachineSpec, boundary: str = "periodic") -> LocalHamiltonian:
     """Compile a reversible machine into local pair maps."""
-    report = validate_reversible(spec)
-    if not report.ok():
-        raise NotReversible(report.summary())
+    require_reversible(spec)
     u0 = {}
     for (q, cell), (q2, cell2) in spec.rules.items():
         t2 = cell[1] if cell[0] == "A" else cell[3]
@@ -87,23 +91,6 @@ def compile_machine(spec: MachineSpec, boundary: str = "periodic") -> LocalHamil
     )
 
 
-class Zero:
-    """Sentinel for U|x> = 0."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "Zero"
-
-
-ZERO_STATE = Zero()
-
-
 def _apply_at(h: LocalHamiltonian, cells, i, boundary, dagger=False):
     """Apply the (possibly adjoint) update at control site i; None if null.
 
@@ -118,80 +105,42 @@ def _apply_at(h: LocalHamiltonian, cells, i, boundary, dagger=False):
         return k if 0 <= k < n else None
 
     _, mode, q = cells[i]
-    if not dagger:
-        if mode == h.rw_mode:
-            r = site(i + 1)
-            if r is None or is_control(cells[r]):
-                return None
-            hit = h.u0_pairs.get(((mode, q), cells[r]))
-            if hit is None:
-                return None
-            (m2, q2), cell2 = hit
-            out = list(cells)
-            out[i] = ("Q", m2, q2)
-            out[r] = cell2
-            return tuple(out)
-        d = h.shift_dirs.get(q)
-        if d is None:
-            return None
-        if d == ZERO:
-            out = list(cells)
-            out[i] = ("Q", h.rw_mode, q)
-            return tuple(out)
-        j = site(i + 1) if d == PLUS else site(i - 1)
-        if j is None or is_control(cells[j]):
-            return None
-        out = list(cells)
-        out[j] = ("Q", h.rw_mode, q)
-        out[i] = cells[j]
-        return tuple(out)
-
-    # adjoint: undo a read-write if mode is the shift mode, else undo a shift
-    if mode != h.rw_mode:
+    # U acts as read-write in the read-write mode; U† undoes one from the other
+    if (mode == h.rw_mode) != dagger:
         r = site(i + 1)
         if r is None or is_control(cells[r]):
             return None
-        for src, dst in h.u0_pairs.items():
-            if dst == ((mode, q), cells[r]):
-                (m0, q0), cell0 = src
-                out = list(cells)
-                out[i] = ("Q", m0, q0)
-                out[r] = cell0
-                return tuple(out)
-        return None
+        hit = (h.u0_inverse if dagger else h.u0_pairs).get(((mode, q), cells[r]))
+        if hit is None:
+            return None
+        (m2, q2), cell2 = hit
+        out = list(cells)
+        out[i] = ("Q", m2, q2)
+        out[r] = cell2
+        return tuple(out)
     d = h.shift_dirs.get(q)
     if d is None:
         return None
-    if d == ZERO:
-        out = list(cells)
-        out[i] = ("Q", 1 - h.rw_mode, q)
-        return tuple(out)
-    # a "+" shift brought the control here from the left
-    j = site(i - 1) if d == PLUS else site(i + 1)
+    # a "+" shift moves the control right; undoing it moves it back left
+    j = site(i + 1) if (d == PLUS) != dagger else site(i - 1)
     if j is None or is_control(cells[j]):
         return None
     out = list(cells)
-    out[j] = ("Q", 1 - h.rw_mode, q)
+    out[j] = ("Q", 1 - mode, q)
     out[i] = cells[j]
     return tuple(out)
 
 
 def apply_update(h: LocalHamiltonian, config: Configuration):
-    """U applied to a single-control basis configuration."""
-    i = config.single_control()
-    out = _apply_at(h, config.cells, i, config.boundary, dagger=False)
-    if out is None:
-        return ZERO_STATE
-    return Configuration(out, config.boundary)
+    """U applied to a single-control basis configuration; None where U|x> = 0."""
+    out = _apply_at(h, config.cells, config.single_control(), config.boundary)
+    return None if out is None else Configuration(out, config.boundary)
 
 
 def apply_update_dagger(h: LocalHamiltonian, config: Configuration):
-    """U† applied to a single-control basis configuration."""
-    i = config.single_control()
-    out = _apply_at(h, config.cells, i, config.boundary, dagger=True)
-    if out is None:
-        return ZERO_STATE
-    return Configuration(out, config.boundary)
+    """U† applied to a single-control basis configuration; None where U†|x> = 0."""
+    out = _apply_at(h, config.cells, config.single_control(), config.boundary, True)
+    return None if out is None else Configuration(out, config.boundary)
 
 
 def _branches(h: LocalHamiltonian, cells, boundary, dagger):
@@ -357,6 +306,9 @@ def hamiltonian_to_json(h: LocalHamiltonian) -> dict:
 
 
 def hamiltonian_from_json(data: dict) -> LocalHamiltonian:
+    for q, d in data["shift_dirs"].items():
+        if d not in (PLUS, MINUS):
+            raise ValueError(f"state {q!r} has shift direction {d!r}, not + or -")
     u0 = {}
     for c1, t1, c2, t2 in data["u0_pairs"]:
         src_q = tag_to_cell(c1)

@@ -28,7 +28,6 @@ MODE1 = 1
 
 PLUS = "+"
 MINUS = "-"
-ZERO = "0"
 
 # Second-track symbol marking the left end of the tape.  MARK2/MARK3 are the
 # rewritten forms used by the two-way amplification stage.
@@ -102,33 +101,28 @@ class SymbolSet:
 class ControlSet:
     """Control states with their shift classes.
 
-    The three class sets must be pairwise disjoint and cover every state
-    (unique direction property); violations are reported by
-    ``validate_reversible`` rather than raised here.
+    The two class sets must be disjoint and cover every state (unique
+    direction property); violations are reported by ``validate_reversible``,
+    and ``shift_class`` raises on a state with no class.
     """
 
     states: tuple
     plus: frozenset
     minus: frozenset
-    zero: frozenset
 
     def shift_class(self, state: str) -> str:
         if state in self.plus:
             return PLUS
         if state in self.minus:
             return MINUS
-        return ZERO
+        raise NotReversible(f"state {state!r} has no shift class")
 
     def direction_problems(self) -> list:
-        problems = []
-        for a, b, name in (
-            (self.plus, self.minus, "+/-"),
-            (self.plus, self.zero, "+/0"),
-            (self.minus, self.zero, "-/0"),
-        ):
-            for q in sorted(a & b):
-                problems.append(f"state {q!r} is in both shift classes {name}")
-        declared = self.plus | self.minus | self.zero
+        problems = [
+            f"state {q!r} is in both shift classes +/-"
+            for q in sorted(self.plus & self.minus)
+        ]
+        declared = self.plus | self.minus
         for q in self.states:
             if q not in declared:
                 problems.append(f"state {q!r} has no shift class")
@@ -217,7 +211,6 @@ class Orbit:
 
     states: tuple
     terminal: tuple
-    machine: MachineSpec
 
     @property
     def length(self) -> int:
@@ -258,6 +251,13 @@ def validate_reversible(spec: MachineSpec) -> ValidationReport:
     return ValidationReport(tuple(collisions), tuple(direction), tuple(structural))
 
 
+def require_reversible(spec: MachineSpec) -> None:
+    """Raise NotReversible with the report summary unless ``spec`` validates."""
+    report = validate_reversible(spec)
+    if not report.ok():
+        raise NotReversible(report.summary())
+
+
 def invert(spec: MachineSpec) -> MachineSpec:
     """Machine that undoes one step of ``spec`` per step.
 
@@ -265,15 +265,10 @@ def invert(spec: MachineSpec) -> MachineSpec:
     and the roles of the two modes swap, so running the result forward walks
     the original trajectory backward.
     """
-    report = validate_reversible(spec)
-    if not report.ok():
-        raise NotReversible(report.summary())
+    require_reversible(spec)
     inv_rules = {dst: src for src, dst in spec.rules.items()}
     ctrl = ControlSet(
-        states=spec.control.states,
-        plus=spec.control.minus,
-        minus=spec.control.plus,
-        zero=spec.control.zero,
+        states=spec.control.states, plus=spec.control.minus, minus=spec.control.plus
     )
     name = spec.name[:-4] if spec.name.endswith("~inv") else spec.name + "~inv"
     return replace(
@@ -290,33 +285,11 @@ def invert(spec: MachineSpec) -> MachineSpec:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Successor:
-    next: Configuration
-
-
-class NoSuccessor:
-    """Sentinel: the configuration has no successor under the machine."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "NoSuccessor"
-
-
-NO_SUCCESSOR = NoSuccessor()
-
-
 def step(spec: MachineSpec, config: Configuration):
     """One machine step on a single-control configuration.
 
-    Returns Successor or NO_SUCCESSOR.  Raises MalformedConfiguration when
-    the control site is missing or duplicated.
+    Returns the next Configuration, or None when there is none.  Raises
+    MalformedConfiguration when the control site is missing or duplicated.
     """
     i = config.single_control()
     cells = config.cells
@@ -331,40 +304,36 @@ def step(spec: MachineSpec, config: Configuration):
     if mode == spec.rw_mode:
         r = site(i + 1)
         if r is None:
-            return NO_SUCCESSOR  # tape exhausted at the open boundary
+            return None  # tape exhausted at the open boundary
         target = cells[r]
         if is_control(target):
-            return NO_SUCCESSOR  # adjacent control: blocks never interact
+            return None  # adjacent control: blocks never interact
         rule = spec.rules.get((q, target))
         if rule is None:
-            return NO_SUCCESSOR
+            return None
         q2, cell2 = rule
         new = list(cells)
         new[i] = control(1 - mode, q2)
         new[r] = cell2
-        return Successor(Configuration(tuple(new), config.boundary))
+        return Configuration(tuple(new), config.boundary)
 
     # shift mode
     if q not in spec.shift_enabled:
-        return NO_SUCCESSOR
-    cls = spec.control.shift_class(q)
-    if cls == ZERO:
-        new = list(cells)
-        new[i] = control(1 - mode, q)
-        return Successor(Configuration(tuple(new), config.boundary))
-    j = site(i + 1) if cls == PLUS else site(i - 1)
+        return None
+    j = site(i + 1) if spec.control.shift_class(q) == PLUS else site(i - 1)
     if j is None:
-        return NO_SUCCESSOR  # shifted off the open lattice
+        return None  # shifted off the open lattice
     if is_control(cells[j]):
-        return NO_SUCCESSOR
+        return None
     new = list(cells)
     new[j] = control(1 - mode, q)
     new[i] = cells[j]
-    return Successor(Configuration(tuple(new), config.boundary))
+    return Configuration(tuple(new), config.boundary)
 
 
-def run_orbit(spec: MachineSpec, config: Configuration, max_steps: int) -> Orbit:
-    """Iterate ``step`` until a dead end, a repeat, or the step budget.
+def orbit_of(successor, config: Configuration, max_steps: int) -> Orbit:
+    """Iterate ``successor`` (next configuration or None) until a dead end, a
+    repeat, or the step budget.
 
     Visited configurations are kept in a hash set keyed by the full cell
     tuple; on a hash hit the closure is confirmed by tuple equality, and by
@@ -374,18 +343,22 @@ def run_orbit(spec: MachineSpec, config: Configuration, max_steps: int) -> Orbit
     seen = {config.cells: 0}
     current = config
     for _ in range(max_steps):
-        result = step(spec, current)
-        if result is NO_SUCCESSOR:
-            return Orbit(tuple(states), ("dead_end", len(states)), spec)
-        current = result.next
+        current = successor(current)
+        if current is None:
+            return Orbit(tuple(states), ("dead_end", len(states)))
         hit = seen.get(current.cells)
         if hit is not None:
             if hit != 0:  # pragma: no cover - impossible for injective maps
                 raise AssertionError("re-entry into the middle of an orbit")
-            return Orbit(tuple(states), ("cycle", len(states)), spec)
+            return Orbit(tuple(states), ("cycle", len(states)))
         seen[current.cells] = len(states)
         states.append(current)
-    return Orbit(tuple(states), ("truncated", len(states)), spec)
+    return Orbit(tuple(states), ("truncated", len(states)))
+
+
+def run_orbit(spec: MachineSpec, config: Configuration, max_steps: int) -> Orbit:
+    """Orbit of ``config`` under ``step``, the reference route."""
+    return orbit_of(lambda cfg: step(spec, cfg), config, max_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +403,7 @@ def run_stats(
     periodic = config.boundary == "periodic"
     rules = spec.rules
     rw_mode = spec.rw_mode
-    shift_enabled = spec.shift_enabled
-    shift_class = {q: spec.control.shift_class(q) for q in spec.control.states}
+    shift_class = {q: spec.control.shift_class(q) for q in spec.shift_enabled}
 
     hist = {}
     for x in cells:
@@ -486,29 +458,24 @@ def run_stats(
                     if t2 in track and cell_track2(target) != t2:
                         track[t2].append(j)
         else:
-            if q not in shift_enabled:
+            cls = shift_class.get(q)
+            if cls is None:
                 terminal = "dead_end"
                 break
-            cls = shift_class[q]
-            j += 1
-            if cls == ZERO:
-                write(i, control(1 - mode, q), j)
-            else:
-                k = i + 1 if cls == PLUS else i - 1
-                if k >= n or k < 0:
-                    if not periodic:
-                        terminal = "dead_end"
-                        j -= 1
-                        break
-                    k %= n
-                if cells[k][0] == "Q":
+            k = i + 1 if cls == PLUS else i - 1
+            if k >= n or k < 0:
+                if not periodic:
                     terminal = "dead_end"
-                    j -= 1
                     break
-                moved = cells[k]
-                write(k, control(1 - mode, q), j)
-                write(i, moved, j)
-                i = k
+                k %= n
+            if cells[k][0] == "Q":
+                terminal = "dead_end"
+                break
+            j += 1
+            moved = cells[k]
+            write(k, control(1 - mode, q), j)
+            write(i, moved, j)
+            i = k
         if i == i0 and cells[i0] == c0 and tuple(cells) == config.cells:
             terminal = "cycle"
             j -= 1  # the repeat itself is not a new configuration
@@ -580,23 +547,24 @@ def split_blocks(config: Configuration) -> list:
     """Split a multi-control configuration into per-block configurations.
 
     A dynamical block is a control site together with the run of cells to its
-    right, up to the next control site.  Each block is returned as an open
+    right, up to the next control site; on an open lattice the last block
+    stops at the lattice end, and the cells left of the first control come
+    first as a control-free part.  Each part is returned as an open
     configuration, since its machine can never leave it.
     """
     sites = config.control_sites()
     if not sites:
         raise MalformedConfiguration("no control site")
-    n = config.size
-    blocks = []
-    for idx, start in enumerate(sites):
-        end = sites[(idx + 1) % len(sites)]
-        cells = [config.cells[start]]
-        k = (start + 1) % n
-        while k != end and k != start:
-            cells.append(config.cells[k])
-            k = (k + 1) % n
-        blocks.append(Configuration(tuple(cells), "open"))
-    return blocks
+    first = sites[0]
+    cells = config.cells
+    if config.boundary == "periodic":
+        body, head = cells[first:] + cells[:first], ()
+    else:
+        body, head = cells[first:], cells[:first]
+    starts = [s - first for s in sites] + [len(body)]
+    parts = [head] if head else []
+    parts += [body[a:b] for a, b in zip(starts, starts[1:])]
+    return [Configuration(p, "open") for p in parts]
 
 
 # ---------------------------------------------------------------------------
@@ -632,7 +600,6 @@ def spec_to_json(spec: MachineSpec) -> dict:
         "states": list(spec.control.states),
         "shift_plus": sorted(spec.control.plus),
         "shift_minus": sorted(spec.control.minus),
-        "shift_zero": sorted(spec.control.zero),
         "shift_enabled": sorted(spec.shift_enabled),
         "m_track2": list(spec.symbols.m_track2),
         "a_track2": list(spec.symbols.a_track2),
@@ -645,6 +612,8 @@ def spec_to_json(spec: MachineSpec) -> dict:
 
 
 def spec_from_json(data: dict) -> MachineSpec:
+    if data.get("shift_zero"):
+        raise ValueError("stay-in-place shift class (shift_zero) is not supported")
     rules = {}
     for q, ctag, q2, ctag2 in data["rules"]:
         rules[(q, tag_to_cell(ctag))] = (q2, tag_to_cell(ctag2))
@@ -655,7 +624,6 @@ def spec_from_json(data: dict) -> MachineSpec:
             states=tuple(data["states"]),
             plus=frozenset(data["shift_plus"]),
             minus=frozenset(data["shift_minus"]),
-            zero=frozenset(data["shift_zero"]),
         ),
         rules=rules,
         rw_mode=data["rw_mode"],
@@ -672,8 +640,11 @@ def save_spec(spec: MachineSpec, path) -> None:
 
 
 def load_spec(path) -> MachineSpec:
+    """Read a spec file, refusing a spec that ``validate_reversible`` rejects."""
     with open(path) as fh:
-        return spec_from_json(json.load(fh))
+        spec = spec_from_json(json.load(fh))
+    require_reversible(spec)
+    return spec
 
 
 def orbit_to_jsonl(orbit: Orbit) -> str:

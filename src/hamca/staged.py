@@ -327,7 +327,6 @@ def build_staged_machine(
             states=states,
             plus=frozenset(q for q in states if classes[q] == PLUS),
             minus=frozenset(q for q in states if classes[q] == MINUS),
-            zero=frozenset(),
         ),
         rules=rules,
         rw_mode=0,
@@ -339,19 +338,7 @@ def build_staged_machine(
     report = validate_reversible(spec)
     if not report.ok():
         raise InnerNotReversible(report.summary())
-    _check_marker_cut(spec)
     return spec
-
-
-def _check_marker_cut(spec: MachineSpec) -> None:
-    """No right-moving state may read the left-end marker: this is what cuts
-    the interaction across the tape seam."""
-    for (q, cell), _ in spec.rules.items():
-        t2 = cell[1] if cell[0] == "A" else cell[3]
-        if t2 == MARK and q in spec.control.plus:
-            raise InnerNotReversible(
-                f"right-moving state {q!r} has a rule on the marked cell"
-            )
 
 
 def shuttle_machine() -> MachineSpec:
@@ -367,9 +354,7 @@ def shuttle_machine() -> MachineSpec:
     spec = MachineSpec(
         name="shuttle",
         symbols=symbols,
-        control=ControlSet(
-            states=("glide",), plus=frozenset({"glide"}), minus=frozenset(), zero=frozenset()
-        ),
+        control=ControlSet(states=("glide",), plus=frozenset({"glide"}), minus=frozenset()),
         rules=rules,
         rw_mode=0,
         shift_enabled=frozenset({"glide"}),

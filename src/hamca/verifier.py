@@ -21,6 +21,7 @@ import numpy as np
 
 from .dynamics import (
     add_site_states,
+    basis_state,
     member_orbit_terms,
     orbit_site_data,
     run_orbit_cached,
@@ -288,8 +289,7 @@ def decide_finite(instance: DecisionInstance, chunk: int = 512) -> Verdict:
     grid = make_grid(instance.eta, instance.eps1, NORM_H_BOUND, t0=t0)
     d = h.site_dim
     places = rounding_precision(instance.eta, instance.eps1, d)
-    e1_state = np.zeros((d, d), dtype=complex)
-    e1_state[h.value_index(a_cell("a1")), h.value_index(a_cell("a1"))] = 1.0
+    e1_state = basis_state(h, a_cell("a1"))
     cutoff_term = [{
         "term": "t0_cutoff",
         "value": 2.0 ** -(instance.ensemble.params.L ** instance.gamma),
@@ -358,9 +358,7 @@ class _SemiLattice:
         self.avger = _EnsembleGridAverager(h, inst.ensemble, inst.orbit_budget)
         self.grid = make_grid(inst.eta, inst.eps1, NORM_H_BOUND, k_max=1)
         d = h.site_dim
-        self.e1 = np.zeros((d, d), dtype=complex)
-        i1 = h.value_index(a_cell("a1"))
-        self.e1[i1, i1] = 1.0
+        self.e1 = basis_state(h, a_cell("a1"))
         self.places = rounding_precision(inst.eta, inst.eps1, d)
         self.running = np.zeros((d, d), dtype=complex)
         self.done = 0

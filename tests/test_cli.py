@@ -9,7 +9,7 @@ from hamca.cli import main
 from hamca.dynamics import orbit_site_average, run_orbit_cached, trace_distance
 from hamca.encoding import anchored_configuration
 from hamca.hamiltonian import compile_machine
-from hamca.machine import a_cell
+from hamca.machine import a_cell, spec_to_json
 from hamca.staged import build_staged_machine
 
 
@@ -110,16 +110,55 @@ _INSTANCE = {"inner": "halt_now", "variant": "one-way-amp", "decode": False,
     (["decide"], {"variant": "nope"}),
     (["decide", "--override-params"],
      {"variant": "two-way-amp", "mode": "iid", "L": 4, "l": 2}),
+    (["orbit", "--machine", "classless.json"], None),
+    (["gap", "--machine", "classless.json"], None),
+    (["decide"], {"machine_ref": "classless.json"}),
+    (["orbit", "--machine", "stay.json"], None),
 ])
 def test_malformed_input_exit_2(tmp_path, capsys, argv, instance):
     """Every malformed input exits 2 with a one-line message, no traceback."""
+    _write_refused_specs(tmp_path)
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
     if instance is not None:
+        if "machine_ref" in instance:
+            instance = {**instance, "machine_ref": str(tmp_path / instance["machine_ref"])}
         path = tmp_path / "inst.json"
         path.write_text(json.dumps({**_INSTANCE, **instance}))
         argv = argv + [str(path)]
     assert run(argv) == 2
     err = capsys.readouterr().err.strip().split("\n")
     assert len(err) == 1 and err[0].startswith("error:")
+
+
+def _oneway_spec():
+    return spec_to_json(build_staged_machine("halt_now", "one-way-amp", include_decode=False))
+
+
+def _write_refused_specs(tmp_path):
+    """Spec files that parse but must be refused: a state with no shift class,
+    and a stay-in-place shift class."""
+    data = _oneway_spec()
+    classless = {**data, "shift_plus": [q for q in data["shift_plus"] if q != "amp"]}
+    (tmp_path / "classless.json").write_text(json.dumps(classless))
+    (tmp_path / "stay.json").write_text(json.dumps({**data, "shift_zero": ["amp"]}))
+
+
+def test_spec_with_empty_stay_class_loads(tmp_path, capsys):
+    """Spec files that still list an empty shift_zero keep loading."""
+    m = tmp_path / "m.json"
+    m.write_text(json.dumps({**_oneway_spec(), "shift_zero": []}))
+    assert run(["orbit", "--machine", str(m), "--L", "4",
+                "--out", str(tmp_path / "o.jsonl"),
+                "--stats-out", str(tmp_path / "o.csv")]) == 0
+
+
+def test_decide_too_large_to_enumerate_exit_3(tmp_path, capsys):
+    """An ensemble too large to enumerate trips the resource guard."""
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({**_INSTANCE, "decode": True, "L": 30, "alpha": [1, 8]}))
+    assert run(["decide", str(path)]) == 3
+    err = capsys.readouterr().err.strip().split("\n")
+    assert err[-1].startswith("resource guard:")
 
 
 def test_evolve_initial_distance_small(tmp_path):

@@ -322,6 +322,20 @@ def test_block_product_site_average_matches_dense(iid_nd):
     assert np.abs(rho_blocks - rho_dense).max() < 1e-12
 
 
+def test_open_lattice_block_split_matches_dense(oneway_nd):
+    """On an open lattice the cells left of the first control stay frozen and
+    the last block stops at the lattice end instead of wrapping round."""
+    h = compile_machine(oneway_nd, "open")
+    e0 = control(0, "boot")
+    a1 = a_cell("a1")
+    cfg = Configuration((a1, e0, a1, e0, a1, a1), "open")
+    ds = dense_space(h, [cfg])
+    for t in (1.0, 3.3, 7.0):
+        rho_blocks = ensemble_site_average([(cfg, Fraction(1))], h, t)
+        rho_dense = ds.site_average(ds.evolve(ds.state_vector(cfg), t))
+        assert np.abs(rho_blocks - rho_dense).max() < 1e-9
+
+
 def test_pair_weight_diag_is_visit_law():
     w = pair_weight_matrix(9, "dead_end")
     ps = [float(p) for p in time_avg_probs(9)]

@@ -14,7 +14,6 @@ from hamca.encoding import (
     scattered_m_sites,
 )
 from hamca.hamiltonian import (
-    ZERO_STATE,
     apply_update,
     apply_update_dagger,
     compile_machine,
@@ -28,16 +27,21 @@ from hamca.hamiltonian import (
 )
 from hamca.machine import (
     MARK,
-    NO_SUCCESSOR,
+    MINUS,
+    PLUS,
     Configuration,
+    ControlSet,
+    MachineSpec,
+    NotReversible,
     Orbit,
+    SymbolSet,
     a_cell,
     control,
     run_orbit,
     split_blocks,
     step,
 )
-from hamca.staged import VARIANTS, build_staged_machine
+from hamca.staged import FIXTURES, VARIANTS, build_staged_machine
 
 
 def test_update_agrees_with_step_along_runs(oneway, h_oneway, rng):
@@ -52,12 +56,12 @@ def test_update_agrees_with_step_along_runs(oneway, h_oneway, rng):
         for _ in range(40):
             s = step(oneway, cur)
             u = apply_update(h_oneway, cur)
-            if s is NO_SUCCESSOR:
-                assert u is ZERO_STATE
+            if s is None:
+                assert u is None
                 break
-            assert u.cells == s.next.cells
+            assert u.cells == s.cells
             assert apply_update_dagger(h_oneway, u).cells == cur.cells
-            cur = s.next
+            cur = s
             checked += 1
     assert checked >= 100
 
@@ -65,19 +69,57 @@ def test_update_agrees_with_step_along_runs(oneway, h_oneway, rng):
 def test_update_zero_on_marker_read(oneway_nd, h_oneway=None):
     h = compile_machine(oneway_nd)
     cells = (a_cell("a2"), control(0, "amp"), a_cell(MARK), a_cell("a1"))
-    assert apply_update(h, Configuration(cells)) is ZERO_STATE
+    assert apply_update(h, Configuration(cells)) is None
 
 
 def test_initial_configuration_has_no_predecessor(oneway, h_oneway):
     cfg = anchored_configuration(oneway, 6, scattered_m_sites(6, 2, witness_at=1))
-    assert apply_update_dagger(h_oneway, cfg) is ZERO_STATE
+    assert apply_update_dagger(h_oneway, cfg) is None
 
 
 def test_update_zero_on_terminal(oneway_nd):
     h = compile_machine(oneway_nd)
     orbit = run_orbit(oneway_nd, anchored_configuration(oneway_nd, 5), 10_000)
     assert orbit.kind == "dead_end"
-    assert apply_update(h, orbit.states[-1]) is ZERO_STATE
+    assert apply_update(h, orbit.states[-1]) is None
+
+
+@pytest.mark.parametrize("direction", [PLUS, MINUS])
+def test_compile_refuses_right_mover_on_marker(direction):
+    """Only a right-moving state is barred from a rule on the marked cell."""
+    plus, minus = ({"q"}, set()) if direction == PLUS else (set(), {"q"})
+    spec = MachineSpec(
+        name="marker-read",
+        symbols=SymbolSet(m_track2=("s0", MARK), a_track2=("a1", MARK)),
+        control=ControlSet(("q",), frozenset(plus), frozenset(minus)),
+        rules={("q", a_cell(MARK)): ("q", a_cell(MARK))},
+        shift_enabled=frozenset({"q"}),
+        init_state="q",
+    )
+    if direction == PLUS:
+        with pytest.raises(NotReversible, match="right-moving"):
+            compile_machine(spec)
+    else:
+        assert len(compile_machine(spec).u0_pairs) == 1
+
+
+def test_dagger_undoes_update_on_every_pair():
+    """U† inverts U on every read-write pair and every shift of every build."""
+    for inner in FIXTURES:
+        for variant in VARIANTS:
+            for decode in (True, False):
+                spec = build_staged_machine(inner, variant, include_decode=decode)
+                h = compile_machine(spec)
+                moves = [(("Q",) + src, cell) for src, cell in h.u0_pairs]
+                for q, d in h.shift_dirs.items():
+                    ctrl = control(1 - h.rw_mode, q)
+                    moves.append((ctrl, a_cell("a1")) if d == PLUS else (a_cell("a1"), ctrl))
+                assert len(moves) == len(h.u0_pairs) + len(h.shift_dirs) > 0
+                for cells in moves:
+                    cfg = Configuration(cells, "open")
+                    nxt = apply_update(h, cfg)
+                    assert nxt is not None and nxt != cfg
+                    assert apply_update_dagger(h, nxt) == cfg
 
 
 def test_locality_of_update(oneway, h_oneway):
@@ -89,7 +131,7 @@ def test_locality_of_update(oneway, h_oneway):
     flipped = list(cfg.cells)
     flipped[6] = a_cell("a2")  # distance >= 2 from the control at site 0
     other = apply_update(h_oneway, Configuration(tuple(flipped)))
-    assert base is not ZERO_STATE and other is not ZERO_STATE
+    assert base is not None and other is not None
     assert base.cells[:2] == other.cells[:2]
     assert other.cells[6] == a_cell("a2")
 
@@ -148,7 +190,7 @@ def test_spectrum_examples():
         states = tuple(
             Configuration((control(0, "x"),) + (a_cell("a1"),) * j) for j in range(1, J + 1)
         )
-        return Orbit(states, (kind, J), None)
+        return Orbit(states, (kind, J))
 
     spec2 = orbit_spectrum(fake_orbit(2, "dead_end"))
     assert np.allclose(sorted(spec2.eigenvalues), [-1.0, 1.0])
@@ -169,7 +211,7 @@ def test_spectrum_matches_dense_matrices():
         lam = np.linalg.eigvalsh(path)
         states = None
         spec = orbit_spectrum(
-            Orbit(tuple([None] * J), ("dead_end", J), None)
+            Orbit(tuple([None] * J), ("dead_end", J))
         )
         assert np.allclose(np.sort(spec.eigenvalues), lam)
     for J in (3, 4, 9):
@@ -178,18 +220,18 @@ def test_spectrum_matches_dense_matrices():
             cyc[j, (j + 1) % J] = 1
             cyc[(j + 1) % J, j] = 1
         lam = np.linalg.eigvalsh(cyc)
-        spec = orbit_spectrum(Orbit(tuple([None] * J), ("cycle", J), None))
+        spec = orbit_spectrum(Orbit(tuple([None] * J), ("cycle", J)))
         assert np.allclose(np.sort(spec.eigenvalues), lam)
 
 
 def test_eigenvector_first_row_normalized():
-    spec = orbit_spectrum(Orbit(tuple([None] * 40), ("dead_end", 40), None))
+    spec = orbit_spectrum(Orbit(tuple([None] * 40), ("dead_end", 40)))
     assert abs((spec.vectors[0] ** 2).sum() - 1.0) < 1e-12
 
 
 def test_gap_bound_sweep():
     for J in (1, 7, 100):
-        orbit = Orbit(tuple([None] * J), ("dead_end", J), None)
+        orbit = Orbit(tuple([None] * J), ("dead_end", J))
         bound = float(energy_gap_bound(orbit))
         if J > 1:
             assert min_distinct_gap(orbit_spectrum(orbit)) >= bound - 1e-12
@@ -201,3 +243,10 @@ def test_hamiltonian_json_round_trip(oneway, h_oneway):
     assert back.u0_pairs == h_oneway.u0_pairs
     assert back.shift_dirs == h_oneway.shift_dirs
     assert back.site_values == h_oneway.site_values
+
+
+def test_hamiltonian_json_refuses_other_directions(h_oneway):
+    data = hamiltonian_to_json(h_oneway)
+    data["shift_dirs"] = {**data["shift_dirs"], "amp": "0"}
+    with pytest.raises(ValueError, match="shift direction"):
+        hamiltonian_from_json(data)

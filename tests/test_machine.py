@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from hamca.machine import (
     BLANK,
     MARK,
-    NO_SUCCESSOR,
     Configuration,
     ControlSet,
     MachineSpec,
@@ -49,7 +48,7 @@ def test_validate_reports_collision():
     spec = MachineSpec(
         name="bad",
         symbols=small_symbols(),
-        control=ControlSet(("q",), frozenset({"q"}), frozenset(), frozenset()),
+        control=ControlSet(("q",), frozenset({"q"}), frozenset()),
         rules=rules,
         shift_enabled=frozenset({"q"}),
         init_state="q",
@@ -65,7 +64,7 @@ def test_validate_reports_direction_violation():
     spec = MachineSpec(
         name="bad-dir",
         symbols=small_symbols(),
-        control=ControlSet(("q",), frozenset({"q"}), frozenset({"q"}), frozenset()),
+        control=ControlSet(("q",), frozenset({"q"}), frozenset({"q"})),
         rules={("q", a_cell("a1")): ("q", a_cell("a1"))},
         shift_enabled=frozenset({"q"}),
         init_state="q",
@@ -77,7 +76,7 @@ def test_validate_reports_direction_violation():
 
 def test_step_boot_marks_first_cell(oneway):
     cfg = anchored_configuration(oneway, 4)
-    nxt = step(oneway, cfg).next
+    nxt = step(oneway, cfg)
     assert nxt.cells[1] == a_cell(MARK)
     assert nxt.cells[0] == control(1, "scan")
 
@@ -85,12 +84,12 @@ def test_step_boot_marks_first_cell(oneway):
 def test_step_right_mover_dies_on_marked_cell(oneway_nd):
     # amplification state re-reading the marker: the forbidden pattern
     cells = (a_cell("a2"), control(0, "amp"), a_cell(MARK), a_cell("a1"))
-    assert step(oneway_nd, Configuration(cells)) is NO_SUCCESSOR
+    assert step(oneway_nd, Configuration(cells)) is None
 
 
 def test_step_open_boundary_exhaustion(drifter_nd):
     cells = (a_cell("a1"), a_cell("a1"), control(1, "drift"))
-    assert step(drifter_nd, Configuration(cells, "open")) is NO_SUCCESSOR
+    assert step(drifter_nd, Configuration(cells, "open")) is None
 
 
 def test_step_requires_single_control(oneway):
@@ -139,23 +138,23 @@ def test_invert_round_trip_long(oneway):
     cur = cfg
     for _ in range(10_000):
         res = step(spec, cur)
-        if res is NO_SUCCESSOR:
+        if res is None:
             break
-        cur = res.next
+        cur = res
     steps_taken = _count_back(spec, cfg, cur)
     inv = invert(spec)
     back = cur
     for _ in range(steps_taken):
-        back = step(inv, back).next
+        back = step(inv, back)
     assert back.cells == cfg.cells
-    assert step(inv, back) is NO_SUCCESSOR  # no predecessor before the start
+    assert step(inv, back) is None  # no predecessor before the start
 
 
 def _count_back(spec, start, end):
     cur = start
     k = 0
     while cur.cells != end.cells:
-        cur = step(spec, cur).next
+        cur = step(spec, cur)
         k += 1
     return k
 
@@ -185,9 +184,9 @@ def test_injectivity_exhaustive_small(shuttle):
                 lattice = list(combo[:pos]) + [control(mode, "glide")] + list(combo[pos:])
                 cfg = Configuration(tuple(lattice))
                 res = step(shuttle, cfg)
-                if res is NO_SUCCESSOR:
+                if res is None:
                     continue
-                key = res.next.cells
+                key = res.cells
                 assert key not in seen, (cfg.cells, seen[key])
                 seen[key] = cfg.cells
 
@@ -211,8 +210,8 @@ def test_injectivity_sampled(data, oneway):
 
     a, b = draw_cfg(), draw_cfg()
     ra, rb = step(oneway, a), step(oneway, b)
-    if ra is not NO_SUCCESSOR and rb is not NO_SUCCESSOR and a.cells != b.cells:
-        assert ra.next.cells != rb.next.cells
+    if ra is not None and rb is not None and a.cells != b.cells:
+        assert ra.cells != rb.cells
 
 
 def test_counts_invariant_after_marking(oneway):
