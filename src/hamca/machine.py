@@ -18,6 +18,8 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+import numpy as np
+
 # Cell symbols are tuples: ("A", a) or ("M", b1, b2, s).
 # Control sites are tuples: ("Q", mode, state) with mode in {0, 1}.
 Cell = tuple
@@ -362,7 +364,7 @@ def run_orbit(spec: MachineSpec, config: Configuration, max_steps: int) -> Orbit
 
 
 # ---------------------------------------------------------------------------
-# Fast streaming runner: exact per-step symbol statistics without storing
+# Streaming runner: exact per-step symbol statistics without storing
 # configurations.  Used for long amplification runs (thousands of sites,
 # millions of steps).
 # ---------------------------------------------------------------------------
@@ -373,10 +375,12 @@ class RunStats:
     """Exact bookkeeping of one forward run of length J (configurations 1..J).
 
     ``total_steps_by_value`` maps each site value v to Σ_{j=1..J} (number of
-    sites holding v in configuration j).  ``change_steps`` records, for each
-    tracked second-track symbol, the steps j at which its site count grew.
-    ``stage_entry_steps`` maps an instrumentation label to the first step j
-    whose configuration has the control in the labelled state.
+    sites holding v in configuration j).  ``first_hist`` and ``last_hist`` are
+    the site-value counts of configurations 1 and J.  ``change_steps``
+    records, for each tracked second-track symbol, the steps j at which its
+    site count grew.  ``stage_entry_steps`` maps an instrumentation label to
+    the first step j whose configuration has the control in the labelled
+    state.
     """
 
     length: int
@@ -388,109 +392,198 @@ class RunStats:
     stage_entry_steps: dict
 
 
+def _glide_length(ok: np.ndarray) -> int:
+    """Number of leading True entries of a non-empty boolean array."""
+    k = int(ok.argmin())
+    return k if not ok[k] else len(ok)
+
+
 def run_stats(
     spec: MachineSpec,
     config: Configuration,
     max_steps: int,
     track_increments: Sequence[str] = (),
 ) -> RunStats:
-    """Run forward, accumulating exact integer statistics in O(1) per step."""
+    """Run forward by ``compile_machine``'s pair maps, counting exactly.
+
+    Site values are coded by their index in ``LocalHamiltonian.site_values``
+    and the lattice is a numpy int array.  Almost every step belongs to a
+    glide: identity read-write steps alternating with shifts across the cells
+    they leave unchanged.  A glide keeps the cell multiset and the control
+    state fixed, so it costs one vectorized scan for the cell that ends it
+    and one slice move of the cells it passes, and the statistics follow from
+    per-value counts times durations.  Every other step is one plain Python
+    step: O(events) Python steps plus O(n) vectorized work per glide.
+
+    A "+" state glides from read-write mode and reads each cell it passes; a
+    "-" state glides from shift mode and reads each cell right after pulling
+    it past.  A glide stops before the cell that ends it, at the lattice end
+    or the periodic seam, at the step budget, and before the control would
+    reach the site of the start's predecessor in that predecessor's state,
+    where the loop checks for cycle closure.
+    """
+    from .hamiltonian import apply_update_dagger, compile_machine  # imports this module
+
     i0 = config.single_control()
-    i = i0
-    c0 = config.cells[i0]
-    cells = list(config.cells)
-    n = len(cells)
+    h = compile_machine(spec, config.boundary)
+    values = h.site_values
+    V = len(values)
+    code = {v: k for k, v in enumerate(values)}
+
+    def encode(cfg):
+        try:
+            return np.array([code[x] for x in cfg.cells], dtype=np.intp)
+        except KeyError as exc:
+            raise MalformedConfiguration(
+                f"site value {exc.args[0]!r} is not in the alphabet of {spec.name}"
+            ) from None
+
+    lat = encode(config)
+    n = len(lat)
     periodic = config.boundary == "periodic"
-    rules = spec.rules
-    rw_mode = spec.rw_mode
-    shift_class = {q: spec.control.shift_class(q) for q in spec.shift_enabled}
 
-    hist = {}
-    for x in cells:
-        hist[x] = hist.get(x, 0) + 1
-    first_hist = dict(hist)
+    # integer tables over the site-value codes
+    state_of = {k: v[2] for k, v in enumerate(values) if v[0] == "Q"}
+    other = {k: code[("Q", 1 - values[k][1], q)] for k, q in state_of.items()}
+    rw_next = {
+        (code[("Q",) + src], code[cell]): (code[("Q",) + dst], code[cell2])
+        for (src, cell), (dst, cell2) in h.u0_pairs.items()
+    }
+    shift_next = {}
+    glides = {}  # glide-starting control -> (direction, cells read by identity)
+    for q, d in h.shift_dirs.items():
+        c_rw = code[("Q", h.rw_mode, q)]
+        step_dir = 1 if d == PLUS else -1
+        shift_next[other[c_rw]] = (c_rw, step_dir)
+        row = np.array([rw_next.get((c_rw, v)) == (other[c_rw], v) for v in range(V)])
+        if row.any():
+            glides[c_rw if step_dir > 0 else other[c_rw]] = (step_dir, row)
 
-    since = [1] * n  # step at which each site acquired its current value
-    totals = {}
+    # the orbit is a cycle exactly when it reaches the start's predecessor
+    prev = apply_update_dagger(h, config)
+    if prev is None:
+        i_prev, c_prev, q_prev, lat_prev = -1, -1, None, None
+    else:
+        lat_prev = encode(prev)
+        i_prev = prev.single_control()
+        c_prev = int(lat_prev[i_prev])
+        q_prev = state_of[c_prev]
+
+    count = np.bincount(lat, minlength=V).tolist()
+    first_hist = {values[k]: m for k, m in enumerate(count) if m}
+    c = int(lat[i0])
+    count[c] -= 1  # cells only: the control is accounted per state segment
+    count_start = [1] * V  # configuration from which count[v] has held
+    totals = [0] * V
+    seg_start, seg_code = 1, c  # control state unchanged since seg_start
+    track2 = [None if v[0] == "Q" else cell_track2(v) for v in values]
     track = {s: [] for s in track_increments}
-    marks = {}
     label_of_state = {v: k for k, v in spec.stage_marks.items()}
+    marks = {}
+    if state_of[c] in label_of_state:
+        marks[label_of_state[state_of[c]]] = 1
 
-    def write(site_idx, new, j_now):
-        old = cells[site_idx]
-        totals[old] = totals.get(old, 0) + (j_now - since[site_idx])
-        since[site_idx] = j_now
-        cells[site_idx] = new
-        hist[old] -= 1
-        hist[new] = hist.get(new, 0) + 1
-        if new[0] == "Q":
-            label = label_of_state.get(new[2])
-            if label is not None and label not in marks:
-                marks[label] = j_now
-
+    i = i0
     j = 1
     terminal = "truncated"
     while j <= max_steps:
-        _, mode, q = cells[i]
-        if mode == rw_mode:
+        if i == i_prev and c == c_prev and np.array_equal(lat, lat_prev):
+            terminal = "cycle"
+            break
+        glide = glides.get(c)
+        if glide is not None:
+            d, row = glide
+            room = (max_steps - j + 1) // 2  # glide pairs the budget allows
+            guard = state_of[c] == q_prev
+            if d > 0:
+                hi = min(n, i + 1 + room)
+                if guard and i_prev >= i:
+                    hi = min(hi, i_prev)
+                if hi > i + 1 and row[lat[i + 1]]:
+                    g = _glide_length(row[lat[i + 1:hi]])
+                    lat[i:i + g] = lat[i + 1:i + g + 1]
+                    i += g
+                    lat[i] = c
+                    j += 2 * g
+                    continue
+            else:
+                lo = max(0, i - room)
+                if guard and i_prev < i:
+                    lo = max(lo, i_prev + 1)
+                if lo < i and row[lat[i - 1]]:
+                    g = _glide_length(row[lat[lo:i][::-1]])
+                    lat[i - g + 1:i + 1] = lat[i - g:i]
+                    i -= g
+                    lat[i] = c
+                    j += 2 * g
+                    continue
+        # one plain step
+        if values[c][1] == h.rw_mode:
             r = i + 1
-            if r >= n:
+            if r == n:
                 if not periodic:
                     terminal = "dead_end"
                     break
                 r = 0
-            target = cells[r]
-            if target[0] == "Q":
+            old = int(lat[r])
+            hit = rw_next.get((c, old))  # None also when r is the control
+            if hit is None:
                 terminal = "dead_end"
                 break
-            rule = rules.get((q, target))
-            if rule is None:
-                terminal = "dead_end"
-                break
-            q2, cell2 = rule
+            c2, new = hit
             j += 1
-            write(i, control(1 - mode, q2), j)
-            if cell2 != target:
-                write(r, cell2, j)
-                # only rewrites change symbol counts; shifts relocate cells
-                if track:
-                    t2 = cell_track2(cell2)
-                    if t2 in track and cell_track2(target) != t2:
-                        track[t2].append(j)
+            lat[i] = c2
+            if new != old:
+                lat[r] = new
+                for v, dv in ((old, -1), (new, 1)):
+                    totals[v] += count[v] * (j - count_start[v])
+                    count[v] += dv
+                    count_start[v] = j
+                t2 = track2[new]
+                if t2 in track and track2[old] != t2:
+                    track[t2].append(j)
+            if state_of[c2] != state_of[c]:
+                span = j - seg_start  # modes alternate, starting with seg_code
+                totals[seg_code] += (span + 1) // 2
+                totals[other[seg_code]] += span // 2
+                seg_start, seg_code = j, c2
+                label = label_of_state.get(state_of[c2])
+                if label is not None and label not in marks:
+                    marks[label] = j
+            c = c2
         else:
-            cls = shift_class.get(q)
-            if cls is None:
+            hit = shift_next.get(c)
+            if hit is None:
                 terminal = "dead_end"
                 break
-            k = i + 1 if cls == PLUS else i - 1
-            if k >= n or k < 0:
+            c2, d = hit
+            k = i + d
+            if not 0 <= k < n:
                 if not periodic:
                     terminal = "dead_end"
                     break
                 k %= n
-            if cells[k][0] == "Q":
+            if k == i:  # a one-site ring: the control would swap with itself
                 terminal = "dead_end"
                 break
             j += 1
-            moved = cells[k]
-            write(k, control(1 - mode, q), j)
-            write(i, moved, j)
-            i = k
-        if i == i0 and cells[i0] == c0 and tuple(cells) == config.cells:
-            terminal = "cycle"
-            j -= 1  # the repeat itself is not a new configuration
-            break
+            lat[i] = lat[k]
+            lat[k] = c2
+            i, c = k, c2
 
     J = j
-    for s in range(n):
-        v = cells[s]
-        totals[v] = totals.get(v, 0) + (J + 1 - since[s])
+    span = J + 1 - seg_start
+    totals[seg_code] += (span + 1) // 2
+    totals[other[seg_code]] += span // 2
+    for v in range(V):
+        totals[v] += count[v] * (J + 1 - count_start[v])
+    count[c] += 1
     return RunStats(
         length=J,
         terminal=terminal,
-        total_steps_by_value=totals,
+        total_steps_by_value={values[v]: t for v, t in enumerate(totals) if t},
         first_hist=first_hist,
-        last_hist=dict(hist),
+        last_hist={values[v]: m for v, m in enumerate(count) if m},
         change_steps=track,
         stage_entry_steps=marks,
     )

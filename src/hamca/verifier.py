@@ -41,6 +41,10 @@ from .machine import MachineSpec, a_cell
 # partial isometry U; the exact orbit spectrum never exceeds it.
 NORM_H_BOUND = 2.0
 
+# Largest time grid decide_finite scans: the default cutoff t0 grows as
+# 2^(4L+3), so a few more sites turn seconds into hours.
+MAX_GRID_POINTS = 1 << 20
+
 
 class InvalidThresholds(ValueError):
     pass
@@ -275,6 +279,14 @@ def decide_finite(instance: DecisionInstance, chunk: int = 512) -> Verdict:
     """Scan all grid sizes up to the cutoff; fire on the threshold check."""
     if not instance.ensemble.members:
         raise PromiseViolation("instance carries no explicit configurations")
+    t0 = instance.t0_override
+    if t0 is None:
+        t0 = t0_cutoff(instance.ensemble.params.L, instance.gamma)
+    grid = make_grid(instance.eta, instance.eps1, NORM_H_BOUND, t0=t0)
+    if grid.k_max > MAX_GRID_POINTS:
+        raise DimensionGuard(
+            f"time grid of {grid.k_max} points exceeds {MAX_GRID_POINTS}"
+        )
     h = compile_machine(instance.machine, instance.ensemble.params.boundary)
     avger = _EnsembleGridAverager(h, instance.ensemble, instance.orbit_budget)
     floor = instance.floor()
@@ -283,10 +295,6 @@ def decide_finite(instance: DecisionInstance, chunk: int = 512) -> Verdict:
         raise GapViolation(
             f"measured orbit gap {measured:.3g} below the floor {floor:.3g}"
         )
-    t0 = instance.t0_override
-    if t0 is None:
-        t0 = t0_cutoff(instance.ensemble.params.L, instance.gamma)
-    grid = make_grid(instance.eta, instance.eps1, NORM_H_BOUND, t0=t0)
     d = h.site_dim
     places = rounding_precision(instance.eta, instance.eps1, d)
     e1_state = basis_state(h, a_cell("a1"))

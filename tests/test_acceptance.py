@@ -311,6 +311,23 @@ def test_a8_two_way_amplification():
            30, time.time() - t0)
 
 
+def test_a8b_two_way_amplification_long_lattice():
+    t0 = time.time()
+    spec = build_staged_machine("halt_now", "two-way-amp", include_decode=False)
+    L = 10_000
+    stats = run_stats(spec, anchored_configuration(spec, L), 200_000_000)
+    J = stats.length
+    avg = float(stats_average(stats, "a2", L + 1))
+    ok = (
+        stats.terminal == "dead_end"
+        and J == L * L + L + 5
+        and sum(stats.total_steps_by_value.values()) == J * (L + 1)
+        and abs(avg - 2 / 3) <= 0.05
+    )
+    report("A8b", ok, f"L={L}, J={J}: time-averaged a2 fraction {avg:.4f}, "
+           "|avg - 2/3| <= 0.05", 60, time.time() - t0)
+
+
 def test_a9_iid_block_statistics():
     t0 = time.time()
     spec = build_staged_machine("halt_now", "iid-repeat-amp")

@@ -1,6 +1,7 @@
 """Command-line front end: verbs, artifacts, exit codes, determinism."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -159,6 +160,18 @@ def test_decide_too_large_to_enumerate_exit_3(tmp_path, capsys):
     assert run(["decide", str(path)]) == 3
     err = capsys.readouterr().err.strip().split("\n")
     assert err[-1].startswith("resource guard:")
+
+
+def test_decide_grid_guard_exit_3(tmp_path, capsys):
+    """The default cutoff at L=5 needs about 1.4e8 grid points: refused at once."""
+    path = tmp_path / "inst.json"
+    data = {k: v for k, v in _INSTANCE.items() if k != "t0_override"}
+    path.write_text(json.dumps({**data, "inner": "ping_pong", "L": 5}))
+    t0 = time.perf_counter()
+    assert run(["decide", str(path)]) == 3
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err.strip().split("\n")
+    assert err[-1].startswith("resource guard: time grid")
 
 
 def test_evolve_initial_distance_small(tmp_path):

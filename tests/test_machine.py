@@ -1,5 +1,6 @@
 """Machine-level behaviour: validation, stepping, orbits, inversion."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -29,7 +30,7 @@ from hamca.machine import (
     validate_reversible,
 )
 from hamca.encoding import anchored_configuration, scattered_m_sites
-from hamca.staged import build_staged_machine
+from hamca.staged import FIXTURES, VARIANTS, build_staged_machine, shuttle_machine
 
 
 def small_symbols():
@@ -246,6 +247,150 @@ def test_run_stats_matches_orbit(oneway):
     counts = amplification_stats(orbit, "a2").counts
     incs = stats.change_steps["a2"]
     assert [counts[j - 1] for j in incs] == list(range(1, len(incs) + 1))
+
+
+def _reference_stats(spec, cfg, max_steps, track=()):
+    """Every RunStats field rebuilt from the reference stepper's orbit."""
+    orbit = run_orbit(spec, cfg, max_steps)
+
+    def hist(c):
+        out = {}
+        for x in c.cells:
+            out[x] = out.get(x, 0) + 1
+        return out
+
+    totals = {}
+    for c in orbit.states:
+        for x, k in hist(c).items():
+            totals[x] = totals.get(x, 0) + k
+    change = {}
+    for s in track:
+        counts = [
+            sum(1 for x in c.cells if not is_control(x) and cell_track2(x) == s)
+            for c in orbit.states
+        ]
+        change[s] = [j + 1 for j in range(1, len(counts)) if counts[j] > counts[j - 1]]
+    marks = {}
+    for label, state in spec.stage_marks.items():
+        for j, c in enumerate(orbit.states, start=1):
+            if c.cells[c.single_control()][2] == state:
+                marks[label] = j
+                break
+    return {
+        "length": orbit.length,
+        "terminal": orbit.kind,
+        "total_steps_by_value": totals,
+        "first_hist": hist(orbit.states[0]),
+        "last_hist": hist(orbit.states[-1]),
+        "change_steps": change,
+        "stage_entry_steps": marks,
+    }
+
+
+def _program_stats(spec, cfg, max_steps, track=()):
+    """RunStats as a dict, with zero counts dropped from its histograms."""
+    stats = run_stats(spec, cfg, max_steps, track_increments=track)
+    assert all(stats.first_hist.values())
+    out = dataclasses.asdict(stats)
+    for key in ("total_steps_by_value", "first_hist", "last_hist"):
+        out[key] = {v: k for v, k in out[key].items() if k}
+    return out
+
+
+def _assert_two_routes(spec, cfg, max_steps=10_000, track=()):
+    ref = _reference_stats(spec, cfg, max_steps, track)
+    assert _program_stats(spec, cfg, max_steps, track) == ref
+    return ref
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "open"])
+@pytest.mark.parametrize("decode", [True, False])
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("inner", sorted(FIXTURES))
+def test_run_stats_two_routes(inner, variant, decode, boundary):
+    """Every RunStats field equals the one rebuilt from run_orbit."""
+    spec = build_staged_machine(inner, variant, include_decode=decode)
+    for L in (6, 13):
+        m = L // 3
+        sites = scattered_m_sites(L, m, witness_at=m, seed=L)
+        cfg = anchored_configuration(spec, L, sites, boundary=boundary)
+        for track in ((), ("a2",)):
+            _assert_two_routes(spec, cfg, track=track)
+
+
+def _ring(state, mode, pos, cells, boundary="periodic"):
+    lattice = list(cells[:pos]) + [control(mode, state)] + list(cells[pos:])
+    return Configuration(tuple(lattice), boundary)
+
+
+@pytest.mark.parametrize("L", [1, 2, 5, 17])
+def test_run_stats_shuttle_cycle(shuttle, L):
+    """The shuttle's whole orbit is one glide that closes into a cycle."""
+    cfg = _ring("glide", 0, 0, (a_cell("a1"),) * L)
+    stats = run_stats(shuttle, cfg, 10_000)
+    assert (stats.terminal, stats.length) == ("cycle", 2 * (L + 1))
+    _assert_two_routes(shuttle, cfg)
+
+
+def test_run_stats_budget_inside_a_glide(shuttle):
+    """A step budget that ends anywhere inside a glide truncates as orbit_of."""
+    L = 9
+    mixed = _ring("glide", 0, 0, (a_cell("a1"), a_cell("a2")) * 4 + (a_cell("a1"),))
+    uniform = _ring("glide", 0, 0, (a_cell("a1"),) * L)
+    for cfg in (mixed, uniform):
+        for max_steps in range(2 * (L + 1)):
+            stats = run_stats(shuttle, cfg, max_steps)
+            assert (stats.terminal, stats.length) == ("truncated", max_steps + 1)
+            _assert_two_routes(shuttle, cfg, max_steps)
+    # the budget that just reaches the repeat closes the cycle
+    assert run_stats(shuttle, uniform, 2 * (L + 1)).terminal == "cycle"
+
+
+def test_run_stats_open_end_inside_a_glide(shuttle, twoway_nd):
+    """Glides in both directions dead-end at the ends of an open lattice."""
+    cells = (a_cell("a1"), a_cell("a2"), a_cell("a1"), a_cell("a1"))
+    right = _ring("glide", 0, 0, cells, "open")
+    assert _assert_two_routes(shuttle, right)["length"] == 2 * len(cells) + 1
+    left = _ring("amp_l2", 1, len(cells), cells, "open")
+    assert _assert_two_routes(twoway_nd, left)["terminal"] == "dead_end"
+    assert run_stats(twoway_nd, left, 10_000).length == 2 * len(cells) + 1
+
+
+def test_run_stats_glides_cross_the_seam(shuttle, twoway_nd):
+    """Periodic glides wrap past site 0 in both directions."""
+    cells = (a_cell("a1"), a_cell("a2"), a_cell("a1"), a_cell("a1"), a_cell("a2"))
+    assert _assert_two_routes(shuttle, _ring("glide", 0, 3, cells))["terminal"] == "cycle"
+    left = _ring("amp_l2", 1, 2, cells)
+    assert _assert_two_routes(twoway_nd, left)["terminal"] == "cycle"
+    L = 40  # the two-way sweeps cross the seam L - 1 times
+    ref = _assert_two_routes(twoway_nd, anchored_configuration(twoway_nd, L), track=("a2",))
+    assert (ref["terminal"], ref["length"]) == ("dead_end", L * L + L + 5)
+
+
+_PROPERTY_SPECS = [
+    build_staged_machine("halt_now", "two-way-amp", include_decode=False),
+    build_staged_machine("counter", "one-way-amp"),
+    build_staged_machine("halt_now", "iid-repeat-amp"),
+    build_staged_machine("ping_pong", "one-way-amp", include_decode=False),
+    shuttle_machine(),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_run_stats_matches_reference_on_random_configurations(data):
+    """Arbitrary cells, control site, mode and state, on both boundaries."""
+    spec = data.draw(st.sampled_from(_PROPERTY_SPECS))
+    L = data.draw(st.integers(0, 9))
+    body = data.draw(st.lists(st.sampled_from(spec.symbols.cells()), min_size=L, max_size=L))
+    pos = data.draw(st.integers(0, L))
+    mode = data.draw(st.integers(0, 1))
+    q = data.draw(st.sampled_from(sorted(spec.control.states)))
+    boundary = data.draw(st.sampled_from(["periodic", "open"]))
+    max_steps = data.draw(st.sampled_from([10_000, 0, 1, 2, 3, 7, 20]))
+    track = data.draw(st.sampled_from([(), ("a2",), ("a2", "a3", MARK)]))
+    cfg = _ring(q, mode, pos, body, boundary)
+    _assert_two_routes(spec, cfg, max_steps, track)
 
 
 def test_spec_json_round_trip(oneway):
