@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .dynamics import (
     basis_state,
-    orbit_longterm_average,
+    longterm_site_average,
     orbit_site_average,
     run_orbit_cached,
     trace_distance,
@@ -224,15 +224,12 @@ def cmd_timeavg(args):
     spec = _machine_from_args(args)
     h = compile_machine(spec, args.boundary)
     config = _config_from_args(spec, args)
-    orbit = run_orbit_cached(config, h, args.max_steps)
-    if orbit.kind == "truncated":
-        raise TruncatedOrbit("orbit did not close within the step budget")
-    rho = orbit_longterm_average(orbit, h)
+    rho, stats = longterm_site_average(spec, h, config, args.max_steps)
     e1 = basis_state(h, a_cell("a1"))
     payload = {
         "version": __version__,
-        "J": orbit.length,
-        "terminal": orbit.terminal[0],
+        "J": stats.length,
+        "terminal": stats.terminal,
         "basis": [cell_to_tag(v) for v in h.site_values],
         "state": [[[v.real, v.imag] for v in row] for row in rho],
         "dist_to_a1": trace_distance(rho, e1),

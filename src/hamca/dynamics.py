@@ -3,9 +3,11 @@
 Everything is computed in the basis of lattice configurations reachable from
 the initial one, never on the full tensor space.  A dead-end orbit of length
 J carries the J-site path Hamiltonian, whose propagator has the closed sine
-form; a cyclic orbit carries the circulant form.  Long-term averages use the
-exact diagonal/near-diagonal weight kernel; the brute-force route runs a
-dense eigendecomposition on the reachable subspace.
+form; a cyclic orbit carries the circulant form.  The long-term state of a
+dead-end orbit is diagonal, the visit law applied to the counts of one
+``run_stats`` pass; a cycle weighs its cross pairs with the closed circulant
+kernel.  The brute-force route runs a dense eigendecomposition on the
+reachable subspace.
 
 All trace norms are the unhalved sum of absolute eigenvalues, so two
 orthogonal pure states are at distance 2.
@@ -15,13 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .hamiltonian import (
     DimensionGuard,
     LocalHamiltonian,
-    OrbitSpectrum,
     ReachableSpace,
     TruncatedOrbit,
     apply_update,
@@ -31,10 +33,13 @@ from .hamiltonian import (
 from .machine import (
     MINUS,
     Configuration,
+    MachineSpec,
     MalformedConfiguration,
     Orbit,
+    RunStats,
     is_control,
     orbit_of,
+    run_stats,
     split_blocks,
 )
 
@@ -137,31 +142,19 @@ def time_avg_probs_overlap(J: int) -> list:
     return [4 * overlap_kernel(J, j, j) / (J + 1) ** 2 for j in range(1, J + 1)]
 
 
-def pair_weight_matrix(J: int, kind: str) -> np.ndarray:
-    """Infinite-time average of amp_j(t) * conj(amp_j'(t)) as a J x J matrix."""
-    if kind == "dead_end":
-        w = np.zeros((J, J))
-        for j in range(1, J + 1):
-            w[j - 1, j - 1] = float(4 * trig_kernel(J, j, j)) / (J + 1) ** 2
-            for jp in (j - 2, j + 2):
-                if 1 <= jp <= J:
-                    w[j - 1, jp - 1] = float(4 * trig_kernel(J, j, jp)) / (J + 1) ** 2
-        return w
-    # cycle: group equal eigenvalues, then project the first step onto each
-    spec = OrbitSpectrum.of("cycle", J)
-    lam, vecs = spec.eigenvalues, spec.vectors
-    order = np.argsort(lam)
-    w = np.zeros((J, J), dtype=complex)
-    start = 0
-    while start < J:
-        end = start
-        while end + 1 < J and lam[order[end + 1]] - lam[order[start]] < 1e-9:
-            end += 1
-        group = order[start : end + 1]
-        amp1 = vecs[:, group] @ np.conj(vecs[0, group])
-        w += np.outer(amp1, amp1.conj())
-        start = end + 1
-    return w
+def pair_weight_matrix(J: int) -> np.ndarray:
+    """Infinite-time average of amp_j(t) * conj(amp_j'(t)) on a J-cycle, 0-based.
+
+    Eigenvalue 2cos(2 pi k/J) is shared only by k and -k, so the average is
+    the sum over k of the projections of the first step onto {k, -k}:
+    (J [j = j'] + J [j + j' = 0 mod J] - 1 - [J even] (-1)^(j+j')) / J^2.
+    """
+    j = np.arange(J)
+    s = j[:, None] + j
+    w = J * (j[:, None] == j) + J * (s % J == 0) - 1.0
+    if J % 2 == 0:
+        w -= 1 - 2 * (s % 2)
+    return w / J**2
 
 
 # ---------------------------------------------------------------------------
@@ -270,10 +263,34 @@ def orbit_site_average(orbit: Orbit, h: LocalHamiltonian, t) -> np.ndarray:
     return rho if np.ndim(t) else rho[0]
 
 
-def orbit_longterm_average(orbit: Orbit, h: LocalHamiltonian) -> np.ndarray:
-    data = orbit_site_data(orbit, h)
-    w = pair_weight_matrix(orbit.length, orbit.kind)
-    return site_average_weighted(data, w, h.site_dim)
+def longterm_site_average(
+    spec: MachineSpec, h: LocalHamiltonian, cfg: Configuration, max_steps: int
+) -> tuple[np.ndarray, RunStats]:
+    """Infinite-time space-averaged site state of a single-control
+    configuration, with the ``run_stats`` counts of its orbit.
+
+    The dead-end path kernel couples a step only with itself and with the
+    steps two away, and configurations j and j+2 differ at the control's old
+    and new sites, since read-write steps and shifts alternate.  So no cross
+    pair carries weight, and the state is the visit law (3/2 weight at the
+    two ends) on the diagonal, straight from the counts.  A cycle weighs the
+    cross pairs of its materialized orbit with ``pair_weight_matrix``.
+    """
+    stats = run_stats(spec, cfg, max_steps)
+    if stats.terminal == "truncated":
+        raise TruncatedOrbit("orbit did not close within the step budget")
+    if stats.terminal == "cycle":
+        data = orbit_site_data(run_orbit_cached(cfg, h, max_steps), h)
+        rho = site_average_weighted(data, pair_weight_matrix(stats.length), h.site_dim)
+        return rho, stats
+    counts = [
+        2 * stats.total_steps_by_value.get(v, 0)
+        + stats.first_hist.get(v, 0)
+        + stats.last_hist.get(v, 0)
+        for v in h.site_values
+    ]
+    rho = np.diag(np.array(counts) / (2 * (stats.length + 1) * cfg.size))
+    return rho.astype(complex), stats
 
 
 def member_orbit_terms(h: LocalHamiltonian, cfg: Configuration, max_steps: int):
@@ -310,32 +327,6 @@ def member_orbit_terms(h: LocalHamiltonian, cfg: Configuration, max_steps: int):
             )
         out.append((orbit, block.size / cfg.size))
     return out
-
-
-def ensemble_longterm_average(members, h: LocalHamiltonian, max_steps=100000):
-    """Long-term averaged site state of a classical mixture, with the radius
-    certified for the uniform-step approximation.
-
-    Each member contributes the plain 1/J step average of its orbit's site
-    histograms; the returned radius 2/L + 2/J_min covers both the deviation
-    of the visit law from uniform and the step-cross terms.
-    """
-    d = h.site_dim
-    rho = np.zeros((d, d), dtype=complex)
-    j_min = None
-    n_sites = None
-    for cfg, weight in members:
-        if n_sites is None:
-            n_sites = cfg.size
-        for orbit, scale in member_orbit_terms(h, cfg, max_steps):
-            if orbit.kind == "truncated":
-                raise TruncatedOrbit("orbit budget exhausted in long-term average")
-            data = orbit_site_data(orbit, h)
-            uniform = data.hist.astype(float).sum(axis=0) / (orbit.length * data.n_sites)
-            rho[np.arange(d), np.arange(d)] += float(weight) * scale * uniform
-            j_min = orbit.length if j_min is None else min(j_min, orbit.length)
-    radius = 2.0 / max(n_sites - 1, 1) + 2.0 / max(j_min, 1)
-    return rho, radius
 
 
 def ensemble_site_average(members, h: LocalHamiltonian, t: float, max_steps=100000):
@@ -387,25 +378,27 @@ class DenseSpace:
         v[self.space.index[cfg.cells]] = 1.0
         return v
 
-    def site_average(self, vec: np.ndarray) -> np.ndarray:
-        """Space-averaged single-site state of an arbitrary vector."""
-        d = self.site_dim
-        rho = np.zeros((d, d), dtype=complex)
+    @cached_property
+    def _site_pairs(self) -> np.ndarray:
+        """Rows (b, b', v, v') of the basis pairs that agree off one site i,
+        that site holding value index v in b and v' in b'; a basis state pairs
+        with itself once per site."""
         basis = self.space.basis
-        n = len(basis[0])
         groups = {}
         for b, cells in enumerate(basis):
-            for i in range(n):
+            for i, x in enumerate(cells):
                 key = (i, cells[:i] + cells[i + 1 :])
-                groups.setdefault(key, []).append((b, self.value_index[cells[i]]))
-        for (_, _), hits in groups.items():
-            for b1, v1 in hits:
-                a1 = vec[b1]
-                if a1 == 0:
-                    continue
-                for b2, v2 in hits:
-                    rho[v1, v2] += a1 * np.conj(vec[b2])
-        return rho / n
+                groups.setdefault(key, []).append((b, self.value_index[x]))
+        return np.array(
+            [(b1, b2, v1, v2) for hits in groups.values() for b1, v1 in hits for b2, v2 in hits]
+        ).T
+
+    def site_average(self, vec: np.ndarray) -> np.ndarray:
+        """Space-averaged single-site state of an arbitrary vector."""
+        b1, b2, v1, v2 = self._site_pairs
+        rho = np.zeros((self.site_dim, self.site_dim), dtype=complex)
+        np.add.at(rho, (v1, v2), vec[b1] * np.conj(vec[b2]))
+        return rho / len(self.space.basis[0])
 
     def longterm_site_average(self, vec: np.ndarray, tol: float = 1e-9) -> np.ndarray:
         """Infinite-time average via spectral projections, eigenvalues grouped

@@ -64,10 +64,6 @@ def cell_track2(cell: Cell) -> str:
     return cell[1] if cell[0] == "A" else cell[3]
 
 
-def with_track2(cell: Cell, sym: str) -> Cell:
-    return ("A", sym) if cell[0] == "A" else ("M", cell[1], cell[2], sym)
-
-
 class MalformedConfiguration(ValueError):
     pass
 

@@ -4,11 +4,13 @@ Run with ``pytest tests/test_acceptance.py -s`` to see the verdict lines.
 Every tolerance is pinned here; nothing is calibrated at run time.
 """
 
+import json
 import time
 from fractions import Fraction
 
 import numpy as np
 
+from hamca.cli import main as cli_main
 from hamca.dynamics import (
     dense_cross_term,
     dense_space,
@@ -40,6 +42,7 @@ from hamca.machine import (
     Configuration,
     Orbit,
     a_cell,
+    cell_to_tag,
     control,
     invert,
     m_cell,
@@ -326,6 +329,34 @@ def test_a8b_two_way_amplification_long_lattice():
     )
     report("A8b", ok, f"L={L}, J={J}: time-averaged a2 fraction {avg:.4f}, "
            "|avg - 2/3| <= 0.05", 60, time.time() - t0)
+
+
+def test_a8c_two_way_longterm_state_through_cli(tmp_path):
+    t0 = time.time()
+    L = 2000
+    out = tmp_path / "timeavg.json"
+    code = cli_main([
+        "timeavg", "--inner", "halt_now", "--variant", "two-way-amp", "--no-decode",
+        "--L", str(L), "--max-steps", "10000000", "--out", str(out),
+    ])
+    data = json.loads(out.read_text())
+    J = data["J"]
+    i1 = data["basis"].index(cell_to_tag(a_cell("a1")))
+    i2 = data["basis"].index(cell_to_tag(a_cell("a2")))
+    p1, p2 = data["state"][i1][i1][0], data["state"][i2][i2][0]
+    spec = build_staged_machine("halt_now", "two-way-amp", include_decode=False)
+    stats = run_stats(spec, anchored_configuration(spec, L), 10_000_000)
+    avg = float(stats_average(stats, "a2", L + 1))
+    ok = (
+        code == 0
+        and data["terminal"] == "dead_end"
+        and J == L * L + L + 5
+        and abs(p2 - 2 / 3) <= 0.05
+        and abs(p2 - avg) <= 2 / J
+        and abs(data["dist_to_a1"] - 2 * (1 - p1)) <= 1e-12
+    )
+    report("A8c", ok, f"L={L}, J={J}: long-term a2 weight {p2:.4f}, |rho - 2/3| <= 0.05, "
+           f"|rho - stats average| = {abs(p2 - avg):.2e} <= 2/J", 2, time.time() - t0)
 
 
 def test_a9_iid_block_statistics():

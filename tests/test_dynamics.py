@@ -12,16 +12,16 @@ from hamca.dynamics import (
     dense_cross_term,
     dense_space,
     dephasing_cross_term,
-    ensemble_longterm_average,
     ensemble_site_average,
     evolve_spectral,
-    orbit_longterm_average,
+    longterm_site_average,
     orbit_site_average,
     orbit_site_data,
     overlap_kernel,
     pair_overlap_matrix,
     pair_weight_matrix,
     run_orbit_cached,
+    site_average_weighted,
     time_avg_probs,
     time_avg_probs_overlap,
     trace_distance,
@@ -33,9 +33,11 @@ from hamca.encoding import (
     anchored_configuration,
     build_initial_ensemble,
     encode_input,
+    scattered_m_sites,
 )
-from hamca.hamiltonian import compile_machine
+from hamca.hamiltonian import compile_machine, reachable_space
 from hamca.machine import Configuration, a_cell, control
+from hamca.staged import FIXTURES, VARIANTS, build_staged_machine
 
 
 def test_evolve_identity_at_zero(oneway_nd, h_oneway_nd):
@@ -168,40 +170,101 @@ def test_site_average_matches_dense(oneway, h_oneway, rng):
         assert np.abs(rho_orbit - rho_dense).max() < 1e-9
 
 
-def test_ensemble_longterm_radius_covers_exact(oneway, h_oneway):
-    """The uniform-step ensemble average sits within its certified radius of
-    the exact projector-based long-term average, which is itself a state."""
-    enc = encode_input("1", Fraction(1, 4))
-    params = EnsembleParams("anchored", L=4, alpha=Fraction(1, 4))
-    ens = build_initial_ensemble(oneway, params, enc)
-    approx, radius = ensemble_longterm_average(ens.members, h_oneway)
-    exact = np.zeros_like(approx)
-    for cfg, w in ens.members:
-        exact += float(w) * orbit_longterm_average(
-            run_orbit_cached(cfg, h_oneway, 10_000), h_oneway
-        )
-    check_state(exact)
-    assert trace_distance(approx, exact) <= radius
-
-
 def test_longterm_matches_spectral_projections(oneway, h_oneway):
     cfg = anchored_configuration(oneway, 5, {3: (0, 1)})
-    orbit = run_orbit_cached(cfg, h_oneway, 10_000)
-    lt = orbit_longterm_average(orbit, h_oneway)
+    lt, _ = longterm_site_average(oneway, h_oneway, cfg, 10_000)
     ds = dense_space(h_oneway, [cfg])
     lt_dense = ds.longterm_site_average(ds.state_vector(cfg))
     assert np.abs(lt - lt_dense).max() < 1e-9
 
 
+@pytest.mark.parametrize("boundary", ["periodic", "open"])
+@pytest.mark.parametrize("decode", [True, False])
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("inner", sorted(FIXTURES))
+def test_longterm_fixture_table_matches_dense(inner, variant, decode, boundary):
+    """The run_stats route against the dense spectral projections."""
+    spec = build_staged_machine(inner, variant, include_decode=decode)
+    h = compile_machine(spec, boundary)
+    for L in (6, 13):
+        m = L // 3
+        sites = scattered_m_sites(L, m, witness_at=m, seed=L)
+        cfg = anchored_configuration(spec, L, sites, boundary=boundary)
+        lt, stats = longterm_site_average(spec, h, cfg, 10_000)
+        check_state(lt)
+        if reachable_space(h, [cfg]).dim > 4096:
+            continue
+        ds = dense_space(h, [cfg])
+        assert ds.space.dim == stats.length
+        lt_dense = ds.longterm_site_average(ds.state_vector(cfg))
+        assert np.abs(lt - lt_dense).max() < 1e-9
+
+
+def _path_kernel(J):
+    """Dead-end pair weights 4 trig_kernel / (J+1)^2 for |j - j'| in {0, 2}."""
+    w = np.zeros((J, J))
+    for j in range(1, J + 1):
+        for jp in (j - 2, j, j + 2):
+            if 1 <= jp <= J:
+                w[j - 1, jp - 1] = 4 * trig_kernel(J, j, jp) / (J + 1) ** 2
+    return w
+
+
+def _cycle_weights_by_projection(J):
+    """Long-term pair weights of a J-cycle from the dense eigenprojections of
+    the ring Hamiltonian, equal eigenvalues grouped."""
+    shift = np.roll(np.eye(J), 1, axis=0)
+    lam, vecs = np.linalg.eigh(shift + shift.T)
+    order = np.argsort(lam)
+    w = np.zeros((J, J))
+    for group in np.split(order, np.nonzero(np.diff(lam[order]) > 1e-9)[0] + 1):
+        col = vecs[:, group] @ vecs[0, group]  # first step projected onto the eigenspace
+        w += np.outer(col, col)
+    return w
+
+
+def test_cycle_pair_weights_match_projections():
+    for J in range(1, 65):
+        w = pair_weight_matrix(J)
+        assert w.shape == (J, J)
+        assert np.abs(w - _cycle_weights_by_projection(J)).max() < 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_longterm_route_on_random_configurations(single_control_rings, data):
+    """No dead-end orbit has a cross pair two steps apart, so the route equals
+    the full path kernel on the orbit; a cycle equals its projections."""
+    spec, cfg = data.draw(single_control_rings)
+    h = compile_machine(spec, cfg.boundary)
+    lt, stats = longterm_site_average(spec, h, cfg, 10_000)
+    orbit = run_orbit_cached(cfg, h, 10_000)
+    assert (stats.terminal, stats.length) == (orbit.kind, orbit.length)
+    data = orbit_site_data(orbit, h)
+    if orbit.kind == "dead_end":
+        assert not np.any(np.abs(data.cross[:, 0] - data.cross[:, 1]) == 2)
+        w = _path_kernel(orbit.length)
+    else:
+        w = _cycle_weights_by_projection(orbit.length)
+    assert np.abs(lt - site_average_weighted(data, w, h.site_dim)).max() < 1e-12
+
+
 def test_longterm_cycle_orbit(shuttle):
+    """Shuttle rings with J/2 odd and even.  A lap of the control rotates the
+    cells by one site, so J = 2(L+1) times the period of the cell pattern;
+    J is always even, since every step flips the control's mode."""
     h = compile_machine(shuttle)
-    cfg = Configuration((control(0, "glide"),) + (a_cell("a1"),) * 3)
-    orbit = run_orbit_cached(cfg, h, 1000)
-    assert orbit.kind == "cycle"
-    lt = orbit_longterm_average(orbit, h)
-    ds = dense_space(h, [cfg])
-    lt_dense = ds.longterm_site_average(ds.state_vector(cfg))
-    assert np.abs(lt - lt_dense).max() < 1e-9
+    a1, a2 = a_cell("a1"), a_cell("a2")
+    lengths = []
+    for cells in ((a1,), (a1, a1), (a1, a2), (a1, a2, a1), (a2, a1, a1, a1), (a1,) * 5):
+        cfg = Configuration((control(0, "glide"),) + cells)
+        lt, stats = longterm_site_average(shuttle, h, cfg, 1000)
+        assert stats.terminal == "cycle"
+        lengths.append(stats.length)
+        ds = dense_space(h, [cfg])
+        lt_dense = ds.longterm_site_average(ds.state_vector(cfg))
+        assert np.abs(lt - lt_dense).max() < 1e-9
+    assert lengths == [4, 6, 12, 24, 40, 12]
 
 
 def test_step_average_bound(oneway, h_oneway):
@@ -215,7 +278,7 @@ def test_step_average_bound(oneway, h_oneway):
     b = np.zeros((d, d), complex)
     i1 = h_oneway.value_index(a_cell("a1"))
     b[i1, i1] = 1.0
-    lt = orbit_longterm_average(orbit, h_oneway)
+    lt, _ = longterm_site_average(oneway, h_oneway, cfg, 10_000)
     exact = np.trace(lt @ b).real
     data = orbit_site_data(orbit, h_oneway)
     ps = time_avg_probs(orbit.length)
@@ -334,11 +397,3 @@ def test_open_lattice_block_split_matches_dense(oneway_nd):
         rho_blocks = ensemble_site_average([(cfg, Fraction(1))], h, t)
         rho_dense = ds.site_average(ds.evolve(ds.state_vector(cfg), t))
         assert np.abs(rho_blocks - rho_dense).max() < 1e-9
-
-
-def test_pair_weight_diag_is_visit_law():
-    w = pair_weight_matrix(9, "dead_end")
-    ps = [float(p) for p in time_avg_probs(9)]
-    assert np.allclose(np.diag(w), ps)
-    offs = np.diag(w, 2)
-    assert np.allclose(offs, -1.0 / (2 * 10))

@@ -30,7 +30,7 @@ from hamca.machine import (
     validate_reversible,
 )
 from hamca.encoding import anchored_configuration, scattered_m_sites
-from hamca.staged import FIXTURES, VARIANTS, build_staged_machine, shuttle_machine
+from hamca.staged import FIXTURES, VARIANTS, build_staged_machine
 
 
 def small_symbols():
@@ -107,15 +107,18 @@ def test_orbit_cycle_is_full_period(shuttle):
 
 
 def test_orbit_dead_end_after_sweep(oneway_nd):
-    L = 6
-    orbit = run_orbit(oneway_nd, anchored_configuration(oneway_nd, L), 10_000)
-    assert orbit.kind == "dead_end"
-    assert orbit.length == (orbit.length - 2 * L) + 2 * L  # J = j0 + 2L bookkeeping
-    # the final configuration is about to re-read the marker rightward
-    last = orbit.states[-1]
-    i = last.single_control()
-    assert last.cells[i][1] == 0  # read-write mode
-    assert cell_track2(last.cells[(i + 1) % last.size]) == MARK
+    for L in (4, 6, 7, 13, 20):
+        cfg = anchored_configuration(oneway_nd, L)
+        orbit = run_orbit(oneway_nd, cfg, 10_000)
+        assert orbit.kind == "dead_end"
+        # the amplification sweep fills configurations j0..J, 2L of them
+        j0 = run_stats(oneway_nd, cfg, 10_000).stage_entry_steps["amp_entry"]
+        assert orbit.length == j0 + 2 * L - 1
+        # the final configuration is about to re-read the marker rightward
+        last = orbit.states[-1]
+        i = last.single_control()
+        assert last.cells[i][1] == 0  # read-write mode
+        assert cell_track2(last.cells[(i + 1) % last.size]) == MARK
 
 
 def test_orbit_truncation():
@@ -367,29 +370,13 @@ def test_run_stats_glides_cross_the_seam(shuttle, twoway_nd):
     assert (ref["terminal"], ref["length"]) == ("dead_end", L * L + L + 5)
 
 
-_PROPERTY_SPECS = [
-    build_staged_machine("halt_now", "two-way-amp", include_decode=False),
-    build_staged_machine("counter", "one-way-amp"),
-    build_staged_machine("halt_now", "iid-repeat-amp"),
-    build_staged_machine("ping_pong", "one-way-amp", include_decode=False),
-    shuttle_machine(),
-]
-
-
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
-def test_run_stats_matches_reference_on_random_configurations(data):
+def test_run_stats_matches_reference_on_random_configurations(single_control_rings, data):
     """Arbitrary cells, control site, mode and state, on both boundaries."""
-    spec = data.draw(st.sampled_from(_PROPERTY_SPECS))
-    L = data.draw(st.integers(0, 9))
-    body = data.draw(st.lists(st.sampled_from(spec.symbols.cells()), min_size=L, max_size=L))
-    pos = data.draw(st.integers(0, L))
-    mode = data.draw(st.integers(0, 1))
-    q = data.draw(st.sampled_from(sorted(spec.control.states)))
-    boundary = data.draw(st.sampled_from(["periodic", "open"]))
+    spec, cfg = data.draw(single_control_rings)
     max_steps = data.draw(st.sampled_from([10_000, 0, 1, 2, 3, 7, 20]))
     track = data.draw(st.sampled_from([(), ("a2",), ("a2", "a3", MARK)]))
-    cfg = _ring(q, mode, pos, body, boundary)
     _assert_two_routes(spec, cfg, max_steps, track)
 
 
