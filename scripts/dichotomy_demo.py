@@ -21,7 +21,7 @@ def build(inner, L, eta, eps1, t0):
     ens = build_initial_ensemble(spec, EnsembleParams("anchored", L, Fraction(0)), enc)
     inst = DecisionInstance(machine=spec, ensemble=ens, eta=eta, eps1=eps1,
                             t0_override=t0)
-    inst.gap_floor = fixture_gap_floor(spec, ens)
+    inst.gap_floor = fixture_gap_floor(inst)
     return inst
 
 

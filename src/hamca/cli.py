@@ -279,7 +279,7 @@ def _instance_from_file(path, t0_override=None):
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"malformed instance field: {exc}")
     if data.get("gap_floor_from_fixture"):
-        inst.gap_floor = fixture_gap_floor(spec, ensemble)
+        inst.gap_floor = fixture_gap_floor(inst)
     return inst, data
 
 

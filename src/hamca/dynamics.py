@@ -45,6 +45,9 @@ from .machine import (
 
 DEFAULT_GUARD = 1 << 20
 
+# Largest dimension built as a dense square array (cycle kernel, dense oracle).
+DENSE_GUARD = 4096
+
 
 # ---------------------------------------------------------------------------
 # Spectral evolution on a single orbit
@@ -171,9 +174,11 @@ def check_state(rho: np.ndarray, tol: float = 1e-9) -> None:
         raise ValueError("state is not positive semidefinite")
 
 
-def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Unhalved trace norm of the difference: orthogonal pure states are at 2."""
-    return float(np.abs(np.linalg.eigvalsh(a - b)).sum())
+def trace_distance(a: np.ndarray, b: np.ndarray):
+    """Unhalved trace norm of the difference: orthogonal pure states are at 2.
+    Stacks of matrices give the array of their distances."""
+    dist = np.abs(np.linalg.eigvalsh(a - b)).sum(axis=-1)
+    return dist if dist.ndim else float(dist)
 
 
 def basis_state(h: LocalHamiltonian, value) -> np.ndarray:
@@ -274,12 +279,17 @@ def longterm_site_average(
     and new sites, since read-write steps and shifts alternate.  So no cross
     pair carries weight, and the state is the visit law (3/2 weight at the
     two ends) on the diagonal, straight from the counts.  A cycle weighs the
-    cross pairs of its materialized orbit with ``pair_weight_matrix``.
+    cross pairs of its materialized orbit with ``pair_weight_matrix``; one
+    longer than ``DENSE_GUARD`` steps is refused before anything is built.
     """
     stats = run_stats(spec, cfg, max_steps)
     if stats.terminal == "truncated":
         raise TruncatedOrbit("orbit did not close within the step budget")
     if stats.terminal == "cycle":
+        if stats.length > DENSE_GUARD:
+            raise DimensionGuard(
+                f"cycle kernel refuses J = {stats.length} (> {DENSE_GUARD})"
+            )
         data = orbit_site_data(run_orbit_cached(cfg, h, max_steps), h)
         rho = site_average_weighted(data, pair_weight_matrix(stats.length), h.site_dim)
         return rho, stats
@@ -426,7 +436,7 @@ class DenseSpace:
 
 
 def dense_space(
-    h: LocalHamiltonian, seeds, guard: int = DEFAULT_GUARD, dense_guard: int = 4096
+    h: LocalHamiltonian, seeds, guard: int = DEFAULT_GUARD, dense_guard: int = DENSE_GUARD
 ) -> DenseSpace:
     space = reachable_space(h, seeds, guard=guard)
     if space.dim > dense_guard:

@@ -7,6 +7,10 @@ states over the grid, and fires when the averaged distance exceeds
 eps1 + (5/4)(eta - eps1); the bound chain guarantees soundness, so firing
 certifies the escape, and on escaping instances some grid eventually fires.
 
+One grid scan, ``_grid_fires``, serves the finite and the semi-decision; it
+makes one ``states_at`` call and one batched check per ``GRID_CHUNK`` points.
+Each member orbit is stepped once, by the instance's ``averager``.
+
 Every numerical shortcut carries its certified error term; verdicts return
 the full ledger of those terms.
 """
@@ -16,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -24,7 +29,6 @@ from .dynamics import (
     basis_state,
     member_orbit_terms,
     orbit_site_data,
-    run_orbit_cached,
     trace_distance,
 )
 from .encoding import InitialEnsemble
@@ -44,6 +48,9 @@ NORM_H_BOUND = 2.0
 # Largest time grid decide_finite scans: the default cutoff t0 grows as
 # 2^(4L+3), so a few more sites turn seconds into hours.
 MAX_GRID_POINTS = 1 << 20
+
+# Grid points per states_at call; the (chunk, d, d) stacks set peak memory.
+GRID_CHUNK = 128
 
 
 class InvalidThresholds(ValueError):
@@ -124,12 +131,13 @@ def round_state(rho: np.ndarray, places: int) -> np.ndarray:
 
 def check_condition(
     avg_rho_ap: np.ndarray, eta, eps1, e1_state: np.ndarray, places: int = None
-) -> bool:
+):
     """Fire when the grid-averaged rounded state is provably far from the
     all-a1 site state; strict inequality at the threshold.
 
-    When ``places`` is given, the input must already be on the binary-fraction
-    grid of that precision (the rounding step of the bound chain).
+    A (T, d, d) stack is answered state by state.  When ``places`` is given,
+    the input must already be on the binary-fraction grid of that precision
+    (the rounding step of the bound chain).
     """
     if places is not None:
         scale = 2.0**places
@@ -168,18 +176,18 @@ class DecisionInstance:
         L = self.ensemble.params.L
         return 2.0 ** -(L**self.gamma)
 
+    @cached_property
+    def averager(self) -> _EnsembleGridAverager:
+        """The grid averager over the member orbits (per block for block
+        members), each orbit stepped once for the life of the instance."""
+        h = compile_machine(self.machine, self.ensemble.params.boundary)
+        return _EnsembleGridAverager(h, self.ensemble, self.orbit_budget)
 
-def fixture_gap_floor(machine: MachineSpec, ensemble: InitialEnsemble,
-                      budget: int = 200000) -> Fraction:
+
+def fixture_gap_floor(instance: DecisionInstance) -> Fraction:
     """Gap floor attached to a fixture instance: 8/(J_max+1)^2 with J_max the
-    longest orbit in the ensemble support (integer-reciprocal form)."""
-    h = compile_machine(machine, ensemble.params.boundary)
-    j_max = 1
-    for cfg, _ in ensemble.members:
-        orbit = run_orbit_cached(cfg, h, budget)
-        if orbit.kind == "truncated":
-            raise TruncatedOrbit("orbit budget exhausted while sizing the gap floor")
-        j_max = max(j_max, orbit.length)
+    longest orbit the decision averages over (integer-reciprocal form)."""
+    j_max = max((orbit.length for orbit, _, _ in instance.averager.members), default=1)
     return Fraction(1, math.ceil(Fraction((j_max + 1) ** 2, 8)))
 
 
@@ -197,18 +205,19 @@ class Verdict:
         }
 
 
-def _ledger(grid: TimeGrid, eta, eps1, places, extra=()):
-    margin = float(eta) - float(eps1)
-    entries = [
+def _ledger(inst: DecisionInstance):
+    margin = float(inst.eta) - float(inst.eps1)
+    places = rounding_precision(inst.eta, inst.eps1, inst.averager.h.site_dim)
+    return [
         {"term": "grid_discretization", "value": 0.5 * margin,
          "mechanism": "state drift over one grid interval"},
         {"term": "state_rounding", "value": 0.5 * margin,
          "mechanism": f"entries rounded to {places} binary places"},
         {"term": "norm_evaluation", "value": 0.25 * margin,
          "mechanism": "budget reserved for the trace-norm computation"},
+        {"term": "t0_cutoff", "value": 2.0 ** -(inst.ensemble.params.L ** inst.gamma),
+         "mechanism": "finite-time surrogate under the gap floor"},
     ]
-    entries.extend(extra)
-    return entries
 
 
 class _EnsembleGridAverager:
@@ -275,7 +284,26 @@ class _EnsembleGridAverager:
         return worst
 
 
-def decide_finite(instance: DecisionInstance, chunk: int = 512) -> Verdict:
+def _grid_fires(inst: DecisionInstance, k_max: int):
+    """Yield, for grid sizes k = 1..k_max in order, whether the check fires
+    on the average of the rounded states at the first k grid points."""
+    avger = inst.averager
+    d = avger.h.site_dim
+    places = rounding_precision(inst.eta, inst.eps1, d)
+    e1_state = basis_state(avger.h, a_cell("a1"))
+    dt = make_grid(inst.eta, inst.eps1, NORM_H_BOUND, k_max=1).dt
+    running = np.zeros((d, d), dtype=complex)
+    for done in range(0, k_max, GRID_CHUNK):
+        ks = np.arange(done + 1, min(done + GRID_CHUNK, k_max) + 1)
+        rounded = round_state(avger.states_at(dt * ks), places)
+        # carrying into the first row keeps the point-by-point summation order
+        rounded[0] += running
+        sums = np.cumsum(rounded, axis=0)
+        running = sums[-1]
+        yield from check_condition(sums / ks[:, None, None], inst.eta, inst.eps1, e1_state)
+
+
+def decide_finite(instance: DecisionInstance) -> Verdict:
     """Scan all grid sizes up to the cutoff; fire on the threshold check."""
     if not instance.ensemble.members:
         raise PromiseViolation("instance carries no explicit configurations")
@@ -287,35 +315,16 @@ def decide_finite(instance: DecisionInstance, chunk: int = 512) -> Verdict:
         raise DimensionGuard(
             f"time grid of {grid.k_max} points exceeds {MAX_GRID_POINTS}"
         )
-    h = compile_machine(instance.machine, instance.ensemble.params.boundary)
-    avger = _EnsembleGridAverager(h, instance.ensemble, instance.orbit_budget)
     floor = instance.floor()
-    measured = avger.min_orbit_gap()
+    measured = instance.averager.min_orbit_gap()
     if measured < floor:
         raise GapViolation(
             f"measured orbit gap {measured:.3g} below the floor {floor:.3g}"
         )
-    d = h.site_dim
-    places = rounding_precision(instance.eta, instance.eps1, d)
-    e1_state = basis_state(h, a_cell("a1"))
-    cutoff_term = [{
-        "term": "t0_cutoff",
-        "value": 2.0 ** -(instance.ensemble.params.L ** instance.gamma),
-        "mechanism": "finite-time surrogate under the gap floor",
-    }]
-    ledger = _ledger(grid, instance.eta, instance.eps1, places, cutoff_term)
-    running = np.zeros((d, d), dtype=complex)
-    done = 0
-    while done < grid.k_max:
-        take = min(chunk, grid.k_max - done)
-        ts = grid.dt * np.arange(done + 1, done + take + 1)
-        states = avger.states_at(ts)
-        for k in range(take):
-            running += round_state(states[k], places)
-            avg = running / (done + k + 1)
-            if check_condition(avg, instance.eta, instance.eps1, e1_state):
-                return Verdict("yes", fired_at=done + k + 1, ledger=ledger)
-        done += take
+    ledger = _ledger(instance)
+    for k, fired in enumerate(_grid_fires(instance, grid.k_max), 1):
+        if fired:
+            return Verdict("yes", fired_at=k, ledger=ledger)
     return Verdict("no", ledger=ledger)
 
 
@@ -330,7 +339,7 @@ def semi_decide(instance_at, budget: int) -> Verdict:
     instance whose state stays within the threshold at every grid, so a
     "yes" is sound by the same bound chain as the finite decision.
     """
-    cache = {}
+    scans = {}  # lattice index -> its grid scan, or None when unavailable
     spent = 0
     diag = 2
     while spent < budget:
@@ -338,47 +347,17 @@ def semi_decide(instance_at, budget: int) -> Verdict:
             m = diag - k
             if spent >= budget:
                 break
-            if m not in cache:
-                cache[m] = _SemiLattice.prepare(instance_at, m)
-            lattice = cache[m]
-            if lattice is None:
+            if m not in scans:
+                inst = instance_at(m)
+                # a lattice's k-th visit asks for grid size k <= budget
+                scans[m] = None if inst is None else _grid_fires(inst, budget)
+            if scans[m] is None:
                 continue  # size not in the admissible enumeration
             spent += 1
-            if lattice.check_at(k):
+            if next(scans[m]):
                 return Verdict("yes", fired_at=k)
         diag += 1
     return Verdict("budget_exhausted")
-
-
-class _SemiLattice:
-    """Incremental grid averages for one lattice size of the pair sweep."""
-
-    @staticmethod
-    def prepare(instance_at, m):
-        inst = instance_at(m)
-        if inst is None:
-            return None
-        return _SemiLattice(inst)
-
-    def __init__(self, inst: DecisionInstance):
-        self.inst = inst
-        h = compile_machine(inst.machine, inst.ensemble.params.boundary)
-        self.avger = _EnsembleGridAverager(h, inst.ensemble, inst.orbit_budget)
-        self.grid = make_grid(inst.eta, inst.eps1, NORM_H_BOUND, k_max=1)
-        d = h.site_dim
-        self.e1 = basis_state(h, a_cell("a1"))
-        self.places = rounding_precision(inst.eta, inst.eps1, d)
-        self.running = np.zeros((d, d), dtype=complex)
-        self.done = 0
-
-    def check_at(self, k: int) -> bool:
-        if k > self.done:
-            ts = self.grid.dt * np.arange(self.done + 1, k + 1)
-            for s in self.avger.states_at(ts):
-                self.running += round_state(s, self.places)
-            self.done = k
-        avg = self.running / k
-        return check_condition(avg, self.inst.eta, self.inst.eps1, self.e1)
 
 
 # ---------------------------------------------------------------------------

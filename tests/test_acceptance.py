@@ -422,7 +422,7 @@ def _a11_instances():
             machine=spec, ensemble=ens, eta=eta, eps1=eps1, gamma=1,
             t0_override=t0_override, label=expect,
         )
-        inst.gap_floor = fixture_gap_floor(spec, ens)
+        inst.gap_floor = fixture_gap_floor(inst)
         yield inst, expect
 
 

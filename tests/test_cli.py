@@ -11,7 +11,7 @@ from hamca.dynamics import orbit_site_average, run_orbit_cached, trace_distance
 from hamca.encoding import anchored_configuration
 from hamca.hamiltonian import compile_machine
 from hamca.machine import a_cell, spec_to_json
-from hamca.staged import build_staged_machine
+from hamca.staged import build_staged_machine, shuttle_machine
 
 
 def run(args):
@@ -162,6 +162,17 @@ def test_decide_too_large_to_enumerate_exit_3(tmp_path, capsys):
     assert err[-1].startswith("resource guard:")
 
 
+def test_decide_too_large_with_fixture_floor_exit_3(tmp_path, capsys):
+    """Sizing the fixture floor of an empty ensemble leaves the refusal to
+    the decision."""
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({**_INSTANCE, "decode": True, "L": 30, "alpha": [1, 8],
+                                "gap_floor_from_fixture": True}))
+    assert run(["decide", str(path)]) == 3
+    err = capsys.readouterr().err.strip().split("\n")
+    assert err[-1] == "resource guard: instance carries no explicit configurations"
+
+
 def test_decide_grid_guard_exit_3(tmp_path, capsys):
     """The default cutoff at L=5 needs about 1.4e8 grid points: refused at once."""
     path = tmp_path / "inst.json"
@@ -190,6 +201,22 @@ def test_timeavg_verb(tmp_path):
                 "--no-decode", "--L", "4", "--out", str(out)]) == 0
     data = json.loads(out.read_text())
     assert abs(sum(row[i][0] for i, row in enumerate(data["state"])) - 1) < 1e-9
+
+
+def test_timeavg_cycle_kernel_guard_exit_3(tmp_path, capsys):
+    """A cycle longer than 4096 steps is refused before its J x J kernel is
+    built; a short cycle still runs."""
+    m = tmp_path / "shuttle.json"
+    m.write_text(json.dumps(spec_to_json(shuttle_machine())))
+    out = tmp_path / "avg.json"
+    assert run(["timeavg", "--machine", str(m), "--L", "19", "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert (data["J"], data["terminal"]) == (40, "cycle")
+    t0 = time.perf_counter()
+    assert run(["timeavg", "--machine", str(m), "--L", "2100"]) == 3
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err.strip().split("\n")
+    assert err[-1].startswith("resource guard: cycle kernel refuses J = 4202")
 
 
 def test_decide_verb(tmp_path):

@@ -1,12 +1,16 @@
 """Decision machinery: grids, threshold checks, truncation, reductions."""
 
+import json
+import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from hamca.cli import main
 from hamca.dynamics import (
+    basis_state,
     ensemble_site_average,
     orbit_site_average,
     run_orbit_cached,
@@ -24,10 +28,12 @@ from hamca.staged import build_staged_machine
 from hamca.verifier import (
     DecisionInstance,
     _EnsembleGridAverager,
+    _grid_fires,
     DegenerateObservable,
     GapViolation,
     InvalidThresholds,
     OverlapViolation,
+    PrecisionViolation,
     ToleranceViolation,
     check_condition,
     conjugate_local_terms,
@@ -56,7 +62,7 @@ def _instance(inner, variant, L, alpha, eta, eps1, t0, v="1"):
     inst = DecisionInstance(
         machine=spec, ensemble=ens, eta=eta, eps1=eps1, gamma=1, t0_override=t0
     )
-    inst.gap_floor = fixture_gap_floor(spec, ens)
+    inst.gap_floor = fixture_gap_floor(inst)
     return inst
 
 
@@ -106,6 +112,34 @@ def test_check_condition_examples():
     assert not check_condition(boundary, eta, eps1, e1)
 
 
+def test_check_condition_on_a_stack_matches_per_matrix():
+    """A (T, d, d) stack gets the per-matrix answers, unrounded and on the
+    rounding grid; one off-grid matrix in the stack is refused."""
+    d = 4
+    eta, eps1 = 0.5, 0.25
+    e1 = np.zeros((d, d), complex)
+    e1[1, 1] = 1.0
+    half = np.zeros((d, d), complex)
+    half[1, 1] = half[2, 2] = 0.5
+    rng = np.random.default_rng(3)
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    noise = g @ g.conj().T
+    noise /= np.trace(noise).real
+    stack = np.stack([(1 - s) * e1 + s * ((1 - s) * half + s * noise)
+                      for s in np.linspace(0.0, 1.0, 41)])
+    places = rounding_precision(eta, eps1, d)
+    rounded = round_state(stack, places)
+    for states, kw in ((stack, {}), (rounded, {"places": places})):
+        got = check_condition(states, eta, eps1, e1, **kw)
+        want = [check_condition(s, eta, eps1, e1, **kw) for s in states]
+        assert got.shape == (len(states),)
+        assert got.tolist() == want
+        assert 0 < sum(want) < len(want)
+    with pytest.raises(PrecisionViolation):
+        check_condition(rounded + 1e-5 * (np.arange(41) == 7)[:, None, None],
+                        eta, eps1, e1, places=places)
+
+
 def test_round_state_precision():
     rng = np.random.default_rng(0)
     d = 8
@@ -119,8 +153,6 @@ def test_round_state_precision():
     e1[1, 1] = 1.0
     # rounded states pass the on-grid validation; raw ones do not
     check_condition(rounded, 0.5, 0.25, e1, places=places)
-    from hamca.verifier import PrecisionViolation
-
     with pytest.raises(PrecisionViolation):
         check_condition(rho + 1e-5, 0.5, 0.25, e1, places=places)
 
@@ -179,6 +211,19 @@ def test_decide_block_mode():
     assert decide_finite(inst).verdict == "yes"
 
 
+def test_fixture_gap_floor_block_ensemble():
+    """A block ensemble sizes its fixture floor from the per-block orbits the
+    decision averages over (longest J = 49), and the decision accepts it."""
+    spec = build_staged_machine("halt_now", "iid-repeat-amp", include_decode=False)
+    params = EnsembleParams("iid", L=4, alpha=Fraction(0), l=2)
+    ens = build_initial_ensemble(spec, params, encode_input("1", Fraction(0)))
+    inst = DecisionInstance(machine=spec, ensemble=ens, eta=0.9, eps1=0.3,
+                            t0_override=500)
+    inst.gap_floor = fixture_gap_floor(inst)
+    assert inst.gap_floor == Fraction(1, 313)
+    assert decide_finite(inst).verdict == "yes"
+
+
 def test_block_mode_refuses_interacting_blocks():
     """Two-way blocks of an iid ensemble end on a left shift off their block,
     which on the whole lattice enters the neighbouring block."""
@@ -209,6 +254,88 @@ def test_states_at_matches_per_member_sum(shuttle, oneway):
         for k, t in enumerate(ts):
             want = ensemble_site_average(members, h, t)
             assert np.abs(got[k] - want).max() < 1e-12
+
+
+def _per_point_fires(inst, k_max):
+    """Reference scan: round, add and check one grid point at a time."""
+    avger = inst.averager
+    d = avger.h.site_dim
+    places = rounding_precision(inst.eta, inst.eps1, d)
+    e1 = basis_state(avger.h, a_cell("a1"))
+    dt = make_grid(inst.eta, inst.eps1, k_max=1).dt
+    states = avger.states_at(dt * np.arange(1, k_max + 1))
+    running = np.zeros((d, d), dtype=complex)
+    flags = []
+    for k in range(1, k_max + 1):
+        running += round_state(states[k - 1], places)
+        flags.append(check_condition(running / k, inst.eta, inst.eps1, e1))
+    return flags
+
+
+@pytest.mark.parametrize("inner, variant, L, eta, eps1, fires", [
+    ("halt_now", "one-way-amp", 3, 0.988, 0.48, True),
+    ("halt_now", "one-way-amp", 4, 0.846, 0.35, True),
+    ("halt_now", "two-way-amp", 4, 0.846, 0.35, True),
+    ("ping_pong", "one-way-amp", 3, 0.988, 0.48, False),
+])
+def test_grid_fires_matches_per_point_scan(inner, variant, L, eta, eps1, fires):
+    """The chunked scan flags exactly the grid sizes the per-point loop does,
+    across chunk boundaries."""
+    inst = _instance(inner, variant, L, 0, eta, eps1, 100)
+    got = [bool(f) for f in _grid_fires(inst, 300)]
+    want = _per_point_fires(inst, 300)
+    assert got == want
+    assert any(want) == fires
+
+
+def _count_calls(monkeypatch, modname, name, counter):
+    """Count calls of ``modname.name`` under every hamca module that holds it."""
+    orig = getattr(sys.modules[modname], name)
+
+    def counted(*a, **kw):
+        counter[name] = counter.get(name, 0) + 1
+        return orig(*a, **kw)
+
+    for key, mod in list(sys.modules.items()):
+        if key.startswith("hamca") and getattr(mod, name, None) is orig:
+            monkeypatch.setattr(mod, name, counted)
+
+
+def test_decide_steps_each_member_once(tmp_path, monkeypatch):
+    """One compilation and one orbit per member, for the fixture floor and the
+    decision together (243 members, one control each)."""
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({
+        "inner": "halt_now", "variant": "one-way-amp", "decode": True,
+        "mode": "anchored", "L": 5, "alpha": [1, 8], "v": "1", "eta": 0.74,
+        "eps1": 0.30, "t0_override": 200, "gap_floor_from_fixture": True,
+    }))
+    calls = {}
+    _count_calls(monkeypatch, "hamca.hamiltonian", "compile_machine", calls)
+    _count_calls(monkeypatch, "hamca.dynamics", "run_orbit_cached", calls)
+    assert main(["decide", str(path), "--out", str(tmp_path / "v.json")]) == 0
+    assert calls == {"compile_machine": 1, "run_orbit_cached": 243}
+    assert json.loads((tmp_path / "v.json").read_text())["verdict"] == "yes"
+
+
+def test_semi_decide_dovetails_lattice_sizes():
+    """Index 1 never fires, index 2 is unavailable, indices 3 and 4 halt; the
+    sweep fires on index 3 at grid size 94 and builds each index once."""
+    table = {1: ("ping_pong", 3), 3: ("halt_now", 3), 4: ("halt_now", 4)}
+    calls = []
+
+    def instance_at(m):
+        calls.append(m)
+        if m not in table:
+            return None
+        inner, L = table[m]
+        return _instance(inner, "one-way-amp", L, 0, 0.988, 0.48, 100)
+
+    verdict = semi_decide(instance_at, budget=300)
+    assert (verdict.verdict, verdict.fired_at) == ("yes", 94)
+    assert calls == list(range(1, 97))
+    calls.clear()
+    assert semi_decide(instance_at, budget=50).verdict == "budget_exhausted"
 
 
 def test_semi_decide_budget_zero():
