@@ -212,6 +212,13 @@ class OrbitSiteData:
 
 
 def orbit_site_data(orbit: Orbit, h: LocalHamiltonian) -> OrbitSiteData:
+    """Histogram and cross pairs of an orbit, its rows in (j, j') order.
+
+    Two single-control configurations that differ at exactly one site hold
+    their control on the same site: otherwise each would hold a control where
+    the other holds a cell.  So steps are compared only within their
+    control-site bucket, sum_p c_p^2 n work for c_p steps at site p.
+    """
     idx = {v: i for i, v in enumerate(h.site_values)}
     arr = np.array(
         [[idx[x] for x in cfg.cells] for cfg in orbit.states], dtype=np.int32
@@ -219,15 +226,20 @@ def orbit_site_data(orbit: Orbit, h: LocalHamiltonian) -> OrbitSiteData:
     J, n = arr.shape
     hist = np.zeros((J, h.site_dim), dtype=np.int64)
     np.add.at(hist, (np.arange(J)[:, None], arr), 1)
+    is_ctrl = np.array([is_control(v) for v in h.site_values])
+    site = is_ctrl[arr].argmax(axis=1)
     cross = [np.zeros((0, 4), dtype=np.int64)]
-    for j in range(J):  # row by row: a J x J x n difference array would not fit
-        diff = arr != arr[j]
-        jps = np.nonzero(diff.sum(axis=1) == 1)[0]
-        site = diff[jps].argmax(axis=1)
-        cross.append(
-            np.stack([np.full_like(jps, j), jps, arr[j, site], arr[jps, site]], axis=1)
-        )
-    return OrbitSiteData(J=J, n_sites=n, hist=hist, cross=np.concatenate(cross))
+    for p in range(n):
+        steps = np.nonzero(site == p)[0]
+        sub = arr[steps]
+        diff = sub[:, None, :] != sub[None, :, :]
+        a, b = np.nonzero(diff.sum(axis=2) == 1)
+        at = diff[a, b].argmax(axis=1)
+        cross.append(np.stack([steps[a], steps[b], sub[a, at], sub[b, at]], axis=1))
+    cross = np.concatenate(cross)
+    return OrbitSiteData(
+        J=J, n_sites=n, hist=hist, cross=cross[np.lexsort((cross[:, 1], cross[:, 0]))]
+    )
 
 
 def add_site_states(

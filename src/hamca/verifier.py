@@ -25,7 +25,6 @@ from functools import cached_property
 import numpy as np
 
 from .dynamics import (
-    add_site_states,
     basis_state,
     member_orbit_terms,
     orbit_site_data,
@@ -225,7 +224,11 @@ class _EnsembleGridAverager:
 
     Multi-control (block) configurations enter through their per-block orbits
     with size-proportional weights; the space average splits exactly that way
-    because no update pair crosses a block boundary.
+    because no update pair crosses a block boundary.  Amplitudes depend only
+    on an orbit's shape (J, kind), so the members of one shape are folded
+    once into a weighted histogram and a real kernel over the step pairs and
+    value pairs they occupy; a grid chunk then costs a fixed amount of work
+    per shape, not per member.
     """
 
     def __init__(self, h: LocalHamiltonian, ensemble: InitialEnsemble, budget: int):
@@ -244,19 +247,21 @@ class _EnsembleGridAverager:
                 self.members.append((orbit, data, float(w) * scale))
                 block_orbits.append(orbit)
             self.member_blocks.append(block_orbits)
+        by_shape = {}
+        for orbit, data, w in self.members:
+            by_shape.setdefault((orbit.length, orbit.kind), []).append((orbit, data, w))
+        self.shapes = [_fold_shape(group, h.site_dim) for group in by_shape.values()]
 
     def states_at(self, ts: np.ndarray) -> np.ndarray:
         d = self.h.site_dim
         out = np.zeros((len(ts), d, d), dtype=complex)
-        by_shape = {}  # amplitudes depend only on (J, kind)
-        for orbit, data, w in self.members:
-            key = (orbit.length, orbit.kind)
-            if key not in by_shape:
-                amps = orbit_spectrum(orbit).amplitudes(ts)
-                by_shape[key] = (amps, np.abs(amps) ** 2)
-            amps, probs = by_shape[key]
-            c = data.cross
-            add_site_states(out, data, probs, amps[:, c[:, 0]] * np.conj(amps[:, c[:, 1]]), w)
+        diag = np.arange(d)
+        for orbit, hist, (j0, j1), (v0, v1), kernel in self.shapes:
+            amps = orbit_spectrum(orbit).amplitudes(ts)
+            out[:, diag, diag] += np.abs(amps) ** 2 @ hist
+            pair_w = amps[:, j0] * np.conj(amps[:, j1])
+            # two real products: a complex @ would map extra BLAS pages
+            out[:, v0, v1] += pair_w.real @ kernel + 1j * (pair_w.imag @ kernel)
         return out
 
     def min_orbit_gap(self, product_guard: int = 200000) -> float:
@@ -265,9 +270,15 @@ class _EnsembleGridAverager:
         For a block configuration the reachable spectrum is the sumset of the
         per-block spectra, assembled exactly (with a size guard) because sums
         of per-block eigenvalues can come closer than any single block's gap.
+        The spectra depend only on the block shapes, so each distinct tuple of
+        shapes is sized once.
         """
+        by_shapes = {
+            tuple((orbit.length, orbit.kind) for orbit in blocks): blocks
+            for blocks in self.member_blocks
+        }
         worst = float("inf")
-        for block_orbits in self.member_blocks:
+        for block_orbits in by_shapes.values():
             lams = np.array([0.0])
             size = 1
             for orbit in block_orbits:
@@ -282,6 +293,29 @@ class _EnsembleGridAverager:
             if len(lams) > 1:
                 worst = min(worst, float(np.diff(lams).min()))
         return worst
+
+
+def _fold_shape(group, d: int):
+    """Fold (orbit, data, weight) members of one orbit shape into
+    (orbit, histogram, step pairs, value pairs, kernel).
+
+    The (J, d) histogram is sum_m (w_m / n_m) hist_m.  The kernel holds, for
+    every step pair (j, j') and value pair (v, v') some member's cross rows
+    occupy, the summed w_m / n_m of the members with that row; only occupied
+    pairs get a row or column.
+    """
+    orbit = group[0][0]
+    J = orbit.length
+    hist = sum(w / data.n_sites * data.hist for _, data, w in group)
+    cross = np.concatenate([data.cross for _, data, _ in group])
+    scale = np.concatenate(
+        [np.full(len(data.cross), w / data.n_sites) for _, data, w in group]
+    )
+    steps, row = np.unique(cross[:, 0] * J + cross[:, 1], return_inverse=True)
+    values, col = np.unique(cross[:, 2] * d + cross[:, 3], return_inverse=True)
+    kernel = np.zeros((len(steps), len(values)))
+    np.add.at(kernel, (row, col), scale)
+    return orbit, hist, divmod(steps, J), divmod(values, d), kernel
 
 
 def _grid_fires(inst: DecisionInstance, k_max: int):
@@ -335,27 +369,29 @@ def semi_decide(instance_at, budget: int) -> Verdict:
     size (m = 1, 2, ...), or returns None when that size is unavailable.
     Pairs are visited along diagonals K + m = const, K ascending within a
     diagonal; the verdict is "yes" as soon as the check fires on some pair,
-    "budget_exhausted" after ``budget`` pairs.  The sweep never fires on an
-    instance whose state stays within the threshold at every grid, so a
-    "yes" is sound by the same bound chain as the finite decision.
+    "budget_exhausted" after ``budget`` pairs.  Each diagonal brings in one
+    new index, so the sweep keeps the scans of the available indices and
+    visits only those.  A budget above ``MAX_GRID_POINTS`` is refused, since
+    a lattice may be asked for every grid size up to it.  The sweep never
+    fires on an instance whose state stays within the threshold at every
+    grid, so a "yes" is sound by the same bound chain as the finite decision.
     """
-    scans = {}  # lattice index -> its grid scan, or None when unavailable
+    if budget > MAX_GRID_POINTS:
+        raise DimensionGuard(f"pair budget {budget} exceeds {MAX_GRID_POINTS} grid points")
+    scans = []  # (m, grid scan) of the available indices, m ascending
     spent = 0
     diag = 2
     while spent < budget:
-        for k in range(1, diag):
-            m = diag - k
+        inst = instance_at(diag - 1)
+        if inst is not None:
+            # a lattice's k-th visit asks for grid size k <= budget
+            scans.append((diag - 1, _grid_fires(inst, budget)))
+        for m, scan in reversed(scans):
             if spent >= budget:
                 break
-            if m not in scans:
-                inst = instance_at(m)
-                # a lattice's k-th visit asks for grid size k <= budget
-                scans[m] = None if inst is None else _grid_fires(inst, budget)
-            if scans[m] is None:
-                continue  # size not in the admissible enumeration
             spent += 1
-            if next(scans[m]):
-                return Verdict("yes", fired_at=k)
+            if next(scan):
+                return Verdict("yes", fired_at=diag - m)
         diag += 1
     return Verdict("budget_exhausted")
 

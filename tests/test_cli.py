@@ -185,6 +185,17 @@ def test_decide_grid_guard_exit_3(tmp_path, capsys):
     assert err[-1].startswith("resource guard: time grid")
 
 
+def test_decide_semi_budget_guard_exit_3(tmp_path, capsys):
+    """A pair budget above the grid limit is refused before any pair runs."""
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({**_INSTANCE, "semi": True, "budget": 2**20 + 1}))
+    t0 = time.perf_counter()
+    assert run(["decide", str(path)]) == 3
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err.strip().split("\n")
+    assert err[-1] == f"resource guard: pair budget {2**20 + 1} exceeds {2**20} grid points"
+
+
 def test_evolve_initial_distance_small(tmp_path):
     """At time zero the averaged state sits near the all-a1 site state."""
     out = tmp_path / "e.csv"

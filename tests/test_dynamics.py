@@ -178,18 +178,27 @@ def test_longterm_matches_spectral_projections(oneway, h_oneway):
     assert np.abs(lt - lt_dense).max() < 1e-9
 
 
-@pytest.mark.parametrize("boundary", ["periodic", "open"])
-@pytest.mark.parametrize("decode", [True, False])
-@pytest.mark.parametrize("variant", VARIANTS)
-@pytest.mark.parametrize("inner", sorted(FIXTURES))
-def test_longterm_fixture_table_matches_dense(inner, variant, decode, boundary):
-    """The run_stats route against the dense spectral projections."""
+FIXTURE_TABLE = pytest.mark.parametrize(
+    "inner, variant, decode, boundary",
+    [(i, v, dec, b) for i in sorted(FIXTURES) for v in VARIANTS
+     for dec in (True, False) for b in ("periodic", "open")],
+)
+
+
+def _fixture_configs(inner, variant, decode, boundary):
+    """(spec, h, configuration) of one fixture-table row at L = 6 and 13."""
     spec = build_staged_machine(inner, variant, include_decode=decode)
     h = compile_machine(spec, boundary)
     for L in (6, 13):
         m = L // 3
         sites = scattered_m_sites(L, m, witness_at=m, seed=L)
-        cfg = anchored_configuration(spec, L, sites, boundary=boundary)
+        yield spec, h, anchored_configuration(spec, L, sites, boundary=boundary)
+
+
+@FIXTURE_TABLE
+def test_longterm_fixture_table_matches_dense(inner, variant, decode, boundary):
+    """The run_stats route against the dense spectral projections."""
+    for spec, h, cfg in _fixture_configs(inner, variant, decode, boundary):
         lt, stats = longterm_site_average(spec, h, cfg, 10_000)
         check_state(lt)
         if reachable_space(h, [cfg]).dim > 4096:
@@ -198,6 +207,50 @@ def test_longterm_fixture_table_matches_dense(inner, variant, decode, boundary):
         assert ds.space.dim == stats.length
         lt_dense = ds.longterm_site_average(ds.state_vector(cfg))
         assert np.abs(lt - lt_dense).max() < 1e-9
+
+
+def _all_pairs_site_data(orbit, h):
+    """Reference histogram and cross rows: every step compared with every
+    other over all sites, rows in (j, j') order."""
+    idx = {v: i for i, v in enumerate(h.site_values)}
+    arr = np.array([[idx[x] for x in c.cells] for c in orbit.states])
+    hist = np.array([np.bincount(row, minlength=h.site_dim) for row in arr])
+    rows = [np.zeros((0, 4), dtype=np.int64)]
+    for j in range(len(arr)):
+        diff = arr != arr[j]
+        jps = np.nonzero(diff.sum(axis=1) == 1)[0]
+        at = diff[jps].argmax(axis=1)
+        rows.append(np.stack([np.full_like(jps, j), jps, arr[j, at], arr[jps, at]], axis=1))
+    return hist, np.concatenate(rows)
+
+
+def _assert_site_data_matches_all_pairs(orbit, h):
+    data = orbit_site_data(orbit, h)
+    hist, cross = _all_pairs_site_data(orbit, h)
+    assert data.hist.dtype == hist.dtype and np.array_equal(data.hist, hist)
+    assert data.cross.dtype == cross.dtype and np.array_equal(data.cross, cross)
+
+
+@FIXTURE_TABLE
+def test_orbit_site_data_fixture_table_matches_all_pairs(inner, variant, decode, boundary):
+    """The control-site buckets find exactly the all-pairs cross rows, in order."""
+    for _, h, cfg in _fixture_configs(inner, variant, decode, boundary):
+        _assert_site_data_matches_all_pairs(run_orbit_cached(cfg, h, 10_000), h)
+
+
+def test_orbit_site_data_two_way_l40_matches_all_pairs(twoway_nd):
+    h = compile_machine(twoway_nd)
+    orbit = run_orbit_cached(anchored_configuration(twoway_nd, 40), h, 10_000)
+    assert orbit.length == 40**2 + 40 + 5
+    _assert_site_data_matches_all_pairs(orbit, h)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_orbit_site_data_random_configurations_match_all_pairs(single_control_rings, data):
+    spec, cfg = data.draw(single_control_rings)
+    h = compile_machine(spec, cfg.boundary)
+    _assert_site_data_matches_all_pairs(run_orbit_cached(cfg, h, 10_000), h)
 
 
 def _path_kernel(J):

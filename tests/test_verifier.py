@@ -2,14 +2,17 @@
 
 import json
 import sys
+import time
 from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import hamca.verifier as verifier
 from hamca.cli import main
 from hamca.dynamics import (
+    add_site_states,
     basis_state,
     ensemble_site_average,
     orbit_site_average,
@@ -22,10 +25,11 @@ from hamca.encoding import (
     build_initial_ensemble,
     encode_input,
 )
-from hamca.hamiltonian import compile_machine
+from hamca.hamiltonian import DimensionGuard, compile_machine, orbit_spectrum
 from hamca.machine import Configuration, MalformedConfiguration, a_cell, control
 from hamca.staged import build_staged_machine
 from hamca.verifier import (
+    MAX_GRID_POINTS,
     DecisionInstance,
     _EnsembleGridAverager,
     _grid_fires,
@@ -236,24 +240,83 @@ def test_block_mode_refuses_interacting_blocks():
         decide_finite(inst)
 
 
-def test_states_at_matches_per_member_sum(shuttle, oneway):
-    """Grouped grid states equal the per-member sum of orbit_site_average,
-    for a cycle orbit, a block member and a many-shape anchored ensemble."""
+def _per_member_states(avger, ts):
+    """Reference: every member's amplitudes added through add_site_states."""
+    d = avger.h.site_dim
+    out = np.zeros((len(ts), d, d), dtype=complex)
+    for orbit, data, w in avger.members:
+        amps = orbit_spectrum(orbit).amplitudes(ts)
+        c = data.cross
+        add_site_states(out, data, np.abs(amps) ** 2,
+                        amps[:, c[:, 0]] * np.conj(amps[:, c[:, 1]]), w)
+    return out
+
+
+def _per_member_gap(avger):
+    """Reference: the joint spectrum of every member assembled on its own."""
+    worst = float("inf")
+    for blocks in avger.member_blocks:
+        lams = np.array([0.0])
+        for orbit in blocks:
+            lams = (lams[:, None] + orbit_spectrum(orbit).eigenvalues[None, :]).ravel()
+        lams = np.unique(np.round(np.sort(lams) / 1e-9) * 1e-9)
+        if len(lams) > 1:
+            worst = min(worst, float(np.diff(lams).min()))
+    return worst
+
+
+def _a11_style_ensemble(inner):
+    """The 243-member anchored ensemble of the decide benchmark instances."""
+    spec = build_staged_machine(inner, "one-way-amp")
+    params = EnsembleParams("anchored", L=5, alpha=Fraction(1, 8))
+    return spec, build_initial_ensemble(spec, params, encode_input("1", Fraction(1, 8))).members
+
+
+def test_states_at_matches_per_member_sum(shuttle, oneway, iid_nd):
+    """Folded grid states equal the per-member add_site_states sum, and the
+    per-shape gap equals the per-member one, for a cycle orbit with a block
+    member, a block ensemble and anchored ensembles of many members; the two
+    small mixtures also match ensemble_site_average."""
     glide, a1, a2 = control(0, "glide"), a_cell("a1"), a_cell("a2")
+    # the two block members share their first block and differ in the gap
     mixed = [(Configuration((glide, a1, a2, a1)), Fraction(1, 3)),
-             (Configuration((glide, a1, a2, glide, a1, a1)), Fraction(2, 3))]
+             (Configuration((glide, a1, a2, glide, a1, a2, a1)), Fraction(1, 3)),
+             (Configuration((glide, a1, a2, glide, a1, a1)), Fraction(1, 3))]
     params = EnsembleParams("anchored", L=3, alpha=Fraction(1, 4))
     anchored = build_initial_ensemble(oneway, params, encode_input("1", Fraction(1, 4)))
+    blocks = build_initial_ensemble(iid_nd, EnsembleParams("iid", L=4, alpha=Fraction(0), l=2),
+                                    encode_input("1", Fraction(0)))
     ts = np.linspace(0.0, 7.0, 9)
-    for spec, members, kinds in ((shuttle, mixed, {"cycle", "dead_end"}),
-                                 (oneway, anchored.members, {"dead_end"})):
+    cases = [(shuttle, mixed, {"cycle", "dead_end"}, None, True),
+             (oneway, anchored.members, {"dead_end"}, None, True),
+             (iid_nd, blocks.members, {"dead_end"}, None, False),
+             (*_a11_style_ensemble("halt_now"), {"dead_end"}, 5, False),
+             (*_a11_style_ensemble("ping_pong"), {"dead_end"}, 5, False)]
+    for spec, members, kinds, n_shapes, small in cases:
         h = compile_machine(spec)
         avger = _EnsembleGridAverager(h, SimpleNamespace(members=members), 1000)
         assert {orbit.kind for orbit, _, _ in avger.members} == kinds
+        if n_shapes is not None:
+            assert (len(avger.members), len(avger.shapes)) == (243, n_shapes)
         got = avger.states_at(ts)
-        for k, t in enumerate(ts):
-            want = ensemble_site_average(members, h, t)
-            assert np.abs(got[k] - want).max() < 1e-12
+        assert np.abs(got - _per_member_states(avger, ts)).max() < 1e-12
+        assert avger.min_orbit_gap() == _per_member_gap(avger)
+        if small:
+            for k, t in enumerate(ts):
+                want = ensemble_site_average(members, h, t)
+                assert np.abs(got[k] - want).max() < 1e-12
+
+
+def test_decide_fires_at_pinned_grid_sizes():
+    """The halting A11 instances fire at the grid sizes they always have."""
+    rows = [("halt_now", "one-way-amp", 3, 0.988, 0.48, 200),
+            ("halt_now", "one-way-amp", 4, 0.846, 0.35, 200),
+            ("halt_now", "one-way-amp", 5, 0.74, 0.30, 200),
+            ("halt_now", "two-way-amp", 4, 0.846, 0.35, 400),
+            ("halt_now", "iid-repeat-amp", 4, 0.846, 0.35, 2500)]
+    fired = [decide_finite(_instance(inner, variant, L, 0, eta, eps1, t0)).fired_at
+             for inner, variant, L, eta, eps1, t0 in rows]
+    assert fired == [94, 107, 127, 122, 148]
 
 
 def _per_point_fires(inst, k_max):
@@ -336,6 +399,62 @@ def test_semi_decide_dovetails_lattice_sizes():
     assert calls == list(range(1, 97))
     calls.clear()
     assert semi_decide(instance_at, budget=50).verdict == "budget_exhausted"
+
+
+def test_semi_decide_visits_pairs_in_diagonal_order(monkeypatch):
+    """Lattice indices 2, 3, 5 and 9 are available: the sweep advances their
+    scans in the order of a brute-force walk over every diagonal, builds each
+    index once, and stops at the pair that fires."""
+    available = {2, 3, 5, 9}
+    visits, calls = [], []
+
+    def scan(m, k_max):
+        for k in range(1, k_max + 1):
+            visits.append((m, k))
+            yield (m, k) == (9, 4)
+
+    def instance_at(m):
+        calls.append(m)
+        return m if m in available else None
+
+    def diagonal_walk(budget):
+        pairs, diag = [], 2
+        while len(pairs) < budget:
+            pairs += [(diag - k, k) for k in range(1, diag) if diag - k in available]
+            diag += 1
+        return pairs[:budget]
+
+    monkeypatch.setattr(verifier, "_grid_fires", scan)
+    assert semi_decide(instance_at, budget=25).verdict == "budget_exhausted"
+    assert visits == diagonal_walk(25)
+    assert calls == list(range(1, visits[-1][0] + visits[-1][1]))
+    visits.clear()
+    verdict = semi_decide(instance_at, budget=100)
+    assert (verdict.verdict, verdict.fired_at) == ("yes", 4)
+    assert visits == diagonal_walk(len(visits)) and visits[-1] == (9, 4)
+
+
+def test_semi_decide_scales_linearly_on_one_lattice():
+    """With one lattice, doubling the budget about doubles the time (four
+    times as long would mean every diagonal is walked in full)."""
+    inst = _instance("ping_pong", "one-way-amp", 3, 0, 0.988, 0.48, 100)
+    inst.averager  # noqa: B018  (build the member orbits outside the timing)
+
+    def best_of_three(budget):
+        times = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            verdict = semi_decide(lambda m: inst if m == 1 else None, budget)
+            times.append(time.perf_counter() - t0)
+            assert verdict.verdict == "budget_exhausted"
+        return min(times)
+
+    assert best_of_three(4000) < 3 * best_of_three(2000)
+
+
+def test_semi_decide_refuses_budget_above_grid_limit():
+    with pytest.raises(DimensionGuard):
+        semi_decide(lambda m: None, MAX_GRID_POINTS + 1)
 
 
 def test_semi_decide_budget_zero():
