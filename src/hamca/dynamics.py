@@ -211,31 +211,53 @@ class OrbitSiteData:
     cross: np.ndarray
 
 
+# Cells compared per slice of step pairs in orbit_site_data; bounds its
+# temporaries (pair indices, two gathered rows and a bool row per pair).
+_PAIR_CELLS = 1 << 20
+
+
 def orbit_site_data(orbit: Orbit, h: LocalHamiltonian) -> OrbitSiteData:
     """Histogram and cross pairs of an orbit, its rows in (j, j') order.
 
     Two single-control configurations that differ at exactly one site hold
     their control on the same site: otherwise each would hold a control where
     the other holds a cell.  So steps are compared only within their
-    control-site bucket, sum_p c_p^2 n work for c_p steps at site p.
+    control-site bucket, sum_p c_p^2 n work for c_p steps at site p.  The
+    within-bucket ordered pairs are built and compared in slices of about
+    ``_PAIR_CELLS`` cells, so a short orbit takes a single pass.
     """
     idx = {v: i for i, v in enumerate(h.site_values)}
     arr = np.array(
-        [[idx[x] for x in cfg.cells] for cfg in orbit.states], dtype=np.int32
+        [[idx[x] for x in cfg.cells] for cfg in orbit.states],
+        dtype=np.min_scalar_type(h.site_dim - 1),
     )
     J, n = arr.shape
     hist = np.zeros((J, h.site_dim), dtype=np.int64)
     np.add.at(hist, (np.arange(J)[:, None], arr), 1)
     is_ctrl = np.array([is_control(v) for v in h.site_values])
     site = is_ctrl[arr].argmax(axis=1)
+    order = np.lexsort((site,))  # stable: steps ascending within a bucket
+    bucket = site[order]
+    lo = np.searchsorted(bucket, bucket, side="left")
+    size = np.searchsorted(bucket, bucket, side="right") - lo
+    # sorted position i pairs with every position lo[i]..lo[i]+size[i]-1;
+    # its pairs are numbered from start[i] in one running count
+    start = np.cumsum(size) - size
+    step = max(1, _PAIR_CELLS // n)
     cross = [np.zeros((0, 4), dtype=np.int64)]
-    for p in range(n):
-        steps = np.nonzero(site == p)[0]
-        sub = arr[steps]
-        diff = sub[:, None, :] != sub[None, :, :]
-        a, b = np.nonzero(diff.sum(axis=2) == 1)
-        at = diff[a, b].argmax(axis=1)
-        cross.append(np.stack([steps[a], steps[b], sub[a, at], sub[b, at]], axis=1))
+    i = 0
+    while i < J:
+        k = max(i + 1, int(np.searchsorted(start, start[i] + step)))
+        count = size[i:k]
+        a = order[np.repeat(np.arange(i, k), count)]
+        b = order[np.repeat(lo[i:k] - start[i:k], count)
+                  + np.arange(start[i], start[i] + count.sum())]
+        i = k
+        diff = arr[a] != arr[b]
+        one = np.nonzero(diff.sum(axis=1) == 1)[0]
+        at = diff[one].argmax(axis=1)
+        a, b = a[one], b[one]
+        cross.append(np.stack([a, b, arr[a, at], arr[b, at]], axis=1))
     cross = np.concatenate(cross)
     return OrbitSiteData(
         J=J, n_sites=n, hist=hist, cross=cross[np.lexsort((cross[:, 1], cross[:, 0]))]

@@ -9,7 +9,11 @@ certifies the escape, and on escaping instances some grid eventually fires.
 
 One grid scan, ``_grid_fires``, serves the finite and the semi-decision; it
 makes one ``states_at`` call and one batched check per ``GRID_CHUNK`` points.
-Each member orbit is stepped once, by the instance's ``averager``.
+Each member orbit is stepped once, by the instance's ``averager``.  The scan
+works in the basis of the s site values the ensemble occupies (plus a1), on
+(chunk, s, s) stacks: every entry of the d x d site state outside that block
+is exactly 0, and the all-a1 state lies inside it, so the distances are the
+d x d ones.
 
 Every numerical shortcut carries its certified error term; verdicts return
 the full ledger of those terms.
@@ -48,7 +52,8 @@ NORM_H_BOUND = 2.0
 # 2^(4L+3), so a few more sites turn seconds into hours.
 MAX_GRID_POINTS = 1 << 20
 
-# Grid points per states_at call; the (chunk, d, d) stacks set peak memory.
+# Grid points per states_at call; the (chunk, s, s) stacks over the s occupied
+# site values set peak memory.
 GRID_CHUNK = 128
 
 
@@ -228,7 +233,9 @@ class _EnsembleGridAverager:
     on an orbit's shape (J, kind), so the members of one shape are folded
     once into a weighted histogram and a real kernel over the step pairs and
     value pairs they occupy; a grid chunk then costs a fixed amount of work
-    per shape, not per member.
+    per shape, not per member.  States are kept in the basis of ``values``,
+    the sorted indices of the site values some member's orbit holds, plus
+    a1: no entry outside that block is ever nonzero.
     """
 
     def __init__(self, h: LocalHamiltonian, ensemble: InitialEnsemble, budget: int):
@@ -247,17 +254,25 @@ class _EnsembleGridAverager:
                 self.members.append((orbit, data, float(w) * scale))
                 block_orbits.append(orbit)
             self.member_blocks.append(block_orbits)
+        occupied = np.zeros(h.site_dim, dtype=bool)
+        occupied[h.value_index(a_cell("a1"))] = True
+        for _, data, _ in self.members:
+            occupied |= data.hist.any(axis=0)
+        self.values = np.flatnonzero(occupied)
         by_shape = {}
         for orbit, data, w in self.members:
             by_shape.setdefault((orbit.length, orbit.kind), []).append((orbit, data, w))
-        self.shapes = [_fold_shape(group, h.site_dim) for group in by_shape.values()]
+        self.shapes = [_fold_shape(group, self.values) for group in by_shape.values()]
 
     def states_at(self, ts: np.ndarray) -> np.ndarray:
-        d = self.h.site_dim
-        out = np.zeros((len(ts), d, d), dtype=complex)
-        diag = np.arange(d)
-        for orbit, hist, (j0, j1), (v0, v1), kernel in self.shapes:
-            amps = orbit_spectrum(orbit).amplitudes(ts)
+        """The (T, s, s) stack of space-averaged site states at ``ts`` over
+        the occupied site values ``values``; every other entry of the
+        d x d state is exactly 0."""
+        s = len(self.values)
+        out = np.zeros((len(ts), s, s), dtype=complex)
+        diag = np.arange(s)
+        for spectrum, hist, (j0, j1), (v0, v1), kernel in self.shapes:
+            amps = spectrum.amplitudes(ts)
             out[:, diag, diag] += np.abs(amps) ** 2 @ hist
             pair_w = amps[:, j0] * np.conj(amps[:, j1])
             # two real products: a complex @ would map extra BLAS pages
@@ -295,38 +310,42 @@ class _EnsembleGridAverager:
         return worst
 
 
-def _fold_shape(group, d: int):
+def _fold_shape(group, values: np.ndarray):
     """Fold (orbit, data, weight) members of one orbit shape into
-    (orbit, histogram, step pairs, value pairs, kernel).
+    (spectrum, histogram, step pairs, value pairs, kernel) over the site
+    values ``values`` (sorted, holding every value the members occupy).
 
-    The (J, d) histogram is sum_m (w_m / n_m) hist_m.  The kernel holds, for
-    every step pair (j, j') and value pair (v, v') some member's cross rows
-    occupy, the summed w_m / n_m of the members with that row; only occupied
-    pairs get a row or column.
+    The (J, s) histogram is sum_m (w_m / n_m) hist_m on the columns of
+    ``values``.  The kernel holds, for every step pair (j, j') and value pair
+    (v, v') some member's cross rows occupy, the summed w_m / n_m of the
+    members with that row; only occupied pairs get a row or column, and v, v'
+    are positions in ``values``.
     """
     orbit = group[0][0]
-    J = orbit.length
-    hist = sum(w / data.n_sites * data.hist for _, data, w in group)
+    J, s = orbit.length, len(values)
+    hist = sum(w / data.n_sites * data.hist for _, data, w in group)[:, values]
     cross = np.concatenate([data.cross for _, data, _ in group])
     scale = np.concatenate(
         [np.full(len(data.cross), w / data.n_sites) for _, data, w in group]
     )
     steps, row = np.unique(cross[:, 0] * J + cross[:, 1], return_inverse=True)
-    values, col = np.unique(cross[:, 2] * d + cross[:, 3], return_inverse=True)
-    kernel = np.zeros((len(steps), len(values)))
+    at = np.searchsorted(values, cross[:, 2:])
+    pairs, col = np.unique(at[:, 0] * s + at[:, 1], return_inverse=True)
+    kernel = np.zeros((len(steps), len(pairs)))
     np.add.at(kernel, (row, col), scale)
-    return orbit, hist, divmod(steps, J), divmod(values, d), kernel
+    return orbit_spectrum(orbit), hist, divmod(steps, J), divmod(pairs, s), kernel
 
 
 def _grid_fires(inst: DecisionInstance, k_max: int):
     """Yield, for grid sizes k = 1..k_max in order, whether the check fires
     on the average of the rounded states at the first k grid points."""
     avger = inst.averager
-    d = avger.h.site_dim
-    places = rounding_precision(inst.eta, inst.eps1, d)
-    e1_state = basis_state(avger.h, a_cell("a1"))
+    places = rounding_precision(inst.eta, inst.eps1, avger.h.site_dim)
+    # e1 is diagonal and inside values, so avg - e1 is zero off the values
+    # block and its trace norm is that block's
+    e1_state = basis_state(avger.h, a_cell("a1"))[np.ix_(avger.values, avger.values)]
     dt = make_grid(inst.eta, inst.eps1, NORM_H_BOUND, k_max=1).dt
-    running = np.zeros((d, d), dtype=complex)
+    running = np.zeros(e1_state.shape, dtype=complex)
     for done in range(0, k_max, GRID_CHUNK):
         ks = np.arange(done + 1, min(done + GRID_CHUNK, k_max) + 1)
         rounded = round_state(avger.states_at(dt * ks), places)
@@ -334,7 +353,9 @@ def _grid_fires(inst: DecisionInstance, k_max: int):
         rounded[0] += running
         sums = np.cumsum(rounded, axis=0)
         running = sums[-1]
-        yield from check_condition(sums / ks[:, None, None], inst.eta, inst.eps1, e1_state)
+        yield from check_condition(
+            sums / ks[:, None, None], inst.eta, inst.eps1, e1_state
+        ).tolist()
 
 
 def decide_finite(instance: DecisionInstance) -> Verdict:
@@ -372,9 +393,12 @@ def semi_decide(instance_at, budget: int) -> Verdict:
     "budget_exhausted" after ``budget`` pairs.  Each diagonal brings in one
     new index, so the sweep keeps the scans of the available indices and
     visits only those.  A budget above ``MAX_GRID_POINTS`` is refused, since
-    a lattice may be asked for every grid size up to it.  The sweep never
-    fires on an instance whose state stays within the threshold at every
-    grid, so a "yes" is sound by the same bound chain as the finite decision.
+    a lattice may be asked for every grid size up to it.  When
+    ``instance_at`` returns None for every index 1..budget, the sweep raises
+    ``PromiseViolation`` after those ``budget`` calls rather than asking for
+    ever larger indices.  The sweep never fires on an instance whose state
+    stays within the threshold at every grid, so a "yes" is sound by the
+    same bound chain as the finite decision.
     """
     if budget > MAX_GRID_POINTS:
         raise DimensionGuard(f"pair budget {budget} exceeds {MAX_GRID_POINTS} grid points")
@@ -386,6 +410,8 @@ def semi_decide(instance_at, budget: int) -> Verdict:
         if inst is not None:
             # a lattice's k-th visit asks for grid size k <= budget
             scans.append((diag - 1, _grid_fires(inst, budget)))
+        elif not scans and diag - 1 >= budget:
+            raise PromiseViolation(f"no instance for any lattice index 1..{budget}")
         for m, scan in reversed(scans):
             if spent >= budget:
                 break

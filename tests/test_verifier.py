@@ -38,6 +38,7 @@ from hamca.verifier import (
     InvalidThresholds,
     OverlapViolation,
     PrecisionViolation,
+    PromiseViolation,
     ToleranceViolation,
     check_condition,
     conjugate_local_terms,
@@ -298,7 +299,9 @@ def test_states_at_matches_per_member_sum(shuttle, oneway, iid_nd):
         assert {orbit.kind for orbit, _, _ in avger.members} == kinds
         if n_shapes is not None:
             assert (len(avger.members), len(avger.shapes)) == (243, n_shapes)
-        got = avger.states_at(ts)
+        d, at = h.site_dim, np.ix_(avger.values, avger.values)
+        got = np.zeros((len(ts), d, d), dtype=complex)
+        got[(slice(None), *at)] = avger.states_at(ts)
         assert np.abs(got - _per_member_states(avger, ts)).max() < 1e-12
         assert avger.min_orbit_gap() == _per_member_gap(avger)
         if small:
@@ -322,12 +325,11 @@ def test_decide_fires_at_pinned_grid_sizes():
 def _per_point_fires(inst, k_max):
     """Reference scan: round, add and check one grid point at a time."""
     avger = inst.averager
-    d = avger.h.site_dim
-    places = rounding_precision(inst.eta, inst.eps1, d)
-    e1 = basis_state(avger.h, a_cell("a1"))
+    places = rounding_precision(inst.eta, inst.eps1, avger.h.site_dim)
+    e1 = basis_state(avger.h, a_cell("a1"))[np.ix_(avger.values, avger.values)]
     dt = make_grid(inst.eta, inst.eps1, k_max=1).dt
     states = avger.states_at(dt * np.arange(1, k_max + 1))
-    running = np.zeros((d, d), dtype=complex)
+    running = np.zeros(e1.shape, dtype=complex)
     flags = []
     for k in range(1, k_max + 1):
         running += round_state(states[k - 1], places)
@@ -345,10 +347,95 @@ def test_grid_fires_matches_per_point_scan(inner, variant, L, eta, eps1, fires):
     """The chunked scan flags exactly the grid sizes the per-point loop does,
     across chunk boundaries."""
     inst = _instance(inner, variant, L, 0, eta, eps1, 100)
-    got = [bool(f) for f in _grid_fires(inst, 300)]
+    got = list(_grid_fires(inst, 300))
     want = _per_point_fires(inst, 300)
     assert got == want
+    assert {type(f) for f in got} == {bool}
     assert any(want) == fires
+
+
+def _dense_scan(inst, k_max, chunk=2048):
+    """Reference scan in the full d x d site basis: per grid point the
+    weighted sum of every member's orbit_site_average, rounded, averaged and
+    measured against the d x d all-a1 state.  Returns (flags, distances)."""
+    avger = inst.averager
+    h = avger.h
+    places = rounding_precision(inst.eta, inst.eps1, h.site_dim)
+    e1 = basis_state(h, a_cell("a1"))
+    dt = make_grid(inst.eta, inst.eps1, k_max=1).dt
+    threshold = inst.eps1 + 1.25 * (inst.eta - inst.eps1)
+    running = np.zeros_like(e1)
+    dists = []
+    for done in range(0, k_max, chunk):
+        ks = np.arange(done + 1, min(done + chunk, k_max) + 1)
+        states = np.zeros((len(ks), *e1.shape), dtype=complex)
+        for orbit, _, w in avger.members:
+            states += w * orbit_site_average(orbit, h, dt * ks)
+        sums = running + np.cumsum(round_state(states, places), axis=0)
+        running = sums[-1]
+        dists.append(trace_distance(sums / ks[:, None, None], e1))
+    dists = np.concatenate(dists)
+    return (dists > threshold).tolist(), dists
+
+
+def _compact_scan(inst, k_max):
+    """The flags of _grid_fires and the distances its checks measured."""
+    dists = []
+
+    def recording(a, b):
+        dists.append(trace_distance(a, b))
+        return dists[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verifier, "trace_distance", recording)
+        flags = list(_grid_fires(inst, k_max))
+    return flags, np.concatenate(dists)
+
+
+def _no_a1_instance(shuttle):
+    """Two glide rings over a2 cells: cycle orbits that never hold a1."""
+    glide, a2 = control(0, "glide"), a_cell("a2")
+    members = [(Configuration((glide, a2, a2)), Fraction(1, 2)),
+               (Configuration((glide, a2, a2, a2, a2)), Fraction(1, 2))]
+    ens = SimpleNamespace(members=members,
+                          params=SimpleNamespace(L=4, boundary="periodic"))
+    return DecisionInstance(machine=shuttle, ensemble=ens, eta=0.846, eps1=0.35,
+                            t0_override=100)
+
+
+def test_compact_scan_matches_dense_reference(shuttle, iid_nd):
+    """The scan over the occupied site values flags exactly the grid sizes a
+    d x d scan of the per-member orbit_site_average sum does, at distances
+    within 1e-12, on the A11 instances, the decide benchmark instances, a
+    block (iid) ensemble and an ensemble that never holds a1.  Every grid
+    size is compared up to k: the whole grid where k is None, and past every
+    fired_at elsewhere."""
+    a11 = [(("halt_now", "one-way-amp", 3, 0, 0.988, 0.48, 200), None),
+           (("halt_now", "one-way-amp", 4, 0, 0.846, 0.35, 200), None),
+           (("halt_now", "one-way-amp", 5, 0, 0.74, 0.30, 200), None),
+           (("halt_now", "two-way-amp", 4, 0, 0.846, 0.35, 400), 2048),
+           (("halt_now", "iid-repeat-amp", 4, 0, 0.846, 0.35, 2500), 4096)]
+    bench = [(("halt_now", "one-way-amp", 5, Fraction(1, 8), 0.74, 0.30, 200), 1024),
+             (("ping_pong", "one-way-amp", 5, Fraction(1, 8), 0.846, 0.35, 40), None),
+             (("ping_pong", "one-way-amp", 3, 0, 0.988, 0.48, 2000), None)]
+    cases = [(_instance(*row), k) for row, k in a11 + bench]
+    blocks = build_initial_ensemble(iid_nd, EnsembleParams("iid", L=4, alpha=Fraction(0), l=2),
+                                    encode_input("1", Fraction(0)))
+    cases.append((DecisionInstance(machine=iid_nd, ensemble=blocks, eta=0.846, eps1=0.35,
+                                   t0_override=100), None))
+    no_a1 = _no_a1_instance(shuttle)
+    cases.append((no_a1, None))
+    a1 = no_a1.averager.h.value_index(a_cell("a1"))
+    assert not any(data.hist[:, a1].any() for _, data, _ in no_a1.averager.members)
+    for inst, k in cases:
+        avger = inst.averager
+        assert a_cell("a1") in [avger.h.site_values[v] for v in avger.values]
+        k_max = make_grid(inst.eta, inst.eps1, t0=inst.t0_override).k_max
+        k = min(k_max, k or k_max)
+        flags, dists = _compact_scan(inst, k)
+        want_flags, want_dists = _dense_scan(inst, k)
+        assert flags == want_flags
+        assert np.abs(dists - want_dists).max() <= 1e-12
 
 
 def _count_calls(monkeypatch, modname, name, counter):
@@ -455,6 +542,20 @@ def test_semi_decide_scales_linearly_on_one_lattice():
 def test_semi_decide_refuses_budget_above_grid_limit():
     with pytest.raises(DimensionGuard):
         semi_decide(lambda m: None, MAX_GRID_POINTS + 1)
+
+
+def test_semi_decide_stops_when_no_lattice_is_available():
+    """instance_at gives None for every index: the sweep asks for indices
+    1..budget once each and then raises, instead of asking forever."""
+    calls = []
+
+    def instance_at(m):
+        calls.append(m)
+        return None
+
+    with pytest.raises(PromiseViolation):
+        semi_decide(instance_at, budget=5)
+    assert calls == [1, 2, 3, 4, 5]
 
 
 def test_semi_decide_budget_zero():
