@@ -22,7 +22,7 @@ def main():
         cfg = anchored_configuration(spec, L, scattered_m_sites(L, m))
         orbit = run_orbit_cached(cfg, h, 10**6)
         bound = float(energy_gap_bound(orbit))
-        gap = min_distinct_gap(orbit_spectrum(orbit))
+        gap = min_distinct_gap(orbit_spectrum(orbit).eigenvalues)
         print(f"{L},{orbit.length},{orbit.kind},{bound:.3e},{gap:.3e},{gap/bound:.2f}")
 
 

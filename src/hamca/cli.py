@@ -171,15 +171,15 @@ def cmd_gap(args):
     orbit = run_orbit(spec, config, args.max_steps)
     if orbit.kind == "truncated":
         raise TruncatedOrbit("orbit did not close within the step budget")
-    spectrum = orbit_spectrum(orbit)
+    gap = min_distinct_gap(orbit_spectrum(orbit).eigenvalues)
     bound = energy_gap_bound(orbit)
     result = {
         "version": __version__,
         "J": orbit.length,
         "terminal": orbit.terminal[0],
         "gap_bound": [bound.numerator, bound.denominator],
-        "min_distinct_gap": min_distinct_gap(spectrum),
-        "satisfied": bool(min_distinct_gap(spectrum) >= float(bound) - 1e-12),
+        "min_distinct_gap": gap,
+        "satisfied": bool(gap >= float(bound) - 1e-12),
     }
     _write(args.out, json.dumps(result, indent=1, sort_keys=True) + "\n")
     return 0

@@ -43,8 +43,6 @@ from .machine import (
     split_blocks,
 )
 
-DEFAULT_GUARD = 1 << 20
-
 # Largest dimension built as a dense square array (cycle kernel, dense oracle).
 DENSE_GUARD = 4096
 
@@ -54,15 +52,9 @@ DENSE_GUARD = 4096
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OrbitAmplitudes:
-    orbit: Orbit
-    t: float
-    amps: np.ndarray  # complex, index j-1 for j = 1..J
-
-
-def evolve_spectral(orbit: Orbit, t: float) -> OrbitAmplitudes:
-    return OrbitAmplitudes(orbit, t, orbit_spectrum(orbit).amplitudes([t])[0])
+def evolve_spectral(orbit: Orbit, t: float) -> np.ndarray:
+    """Amplitudes <j| exp(-i t H) |1> of the orbit's steps, index j-1."""
+    return orbit_spectrum(orbit).amplitudes([t])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -211,57 +203,67 @@ class OrbitSiteData:
     cross: np.ndarray
 
 
-# Cells compared per slice of step pairs in orbit_site_data; bounds its
+# Cells compared per slice of step pairs in _one_site_pairs; bounds its
 # temporaries (pair indices, two gathered rows and a bool row per pair).
 _PAIR_CELLS = 1 << 20
 
 
-def orbit_site_data(orbit: Orbit, h: LocalHamiltonian) -> OrbitSiteData:
-    """Histogram and cross pairs of an orbit, its rows in (j, j') order.
+def _coded(orbit: Orbit, h: LocalHamiltonian) -> np.ndarray:
+    """(J, n) site-value codes of an orbit's steps, in the smallest int type."""
+    return h.encode((c.cells for c in orbit.states), np.min_scalar_type(h.site_dim - 1))
 
-    Two single-control configurations that differ at exactly one site hold
-    their control on the same site: otherwise each would hold a control where
-    the other holds a cell.  So steps are compared only within their
-    control-site bucket, sum_p c_p^2 n work for c_p steps at site p.  The
-    within-bucket ordered pairs are built and compared in slices of about
-    ``_PAIR_CELLS`` cells, so a short orbit takes a single pass.
+
+def _one_site_pairs(h: LocalHamiltonian, arr_a: np.ndarray, arr_b: np.ndarray):
+    """Step pairs (j, j') of two coded orbits, j a row of ``arr_a`` and j' of
+    ``arr_b``, whose configurations differ at no site or at exactly one.
+
+    Returns ``(ja, jb)`` of the identical pairs and ``(ja, jb, va, vb)`` of
+    the one-site pairs, va and vb the two values at the differing site; both
+    in (j, j') order.  Two single-control configurations that differ at one
+    site or none hold their control on the same site: otherwise each would
+    hold a control where the other holds a cell.  So a row is compared only
+    with the rows of ``arr_b`` in its control-site bucket, sum_p a_p b_p n
+    work for a_p and b_p steps at site p.  The pairs are built and compared
+    in slices of about ``_PAIR_CELLS`` cells, so short orbits take one pass.
     """
-    idx = {v: i for i, v in enumerate(h.site_values)}
-    arr = np.array(
-        [[idx[x] for x in cfg.cells] for cfg in orbit.states],
-        dtype=np.min_scalar_type(h.site_dim - 1),
-    )
+    is_ctrl = np.array([is_control(v) for v in h.site_values])
+    site_b = is_ctrl[arr_b].argmax(axis=1)
+    site_a = site_b if arr_a is arr_b else is_ctrl[arr_a].argmax(axis=1)
+    order = np.argsort(site_b, kind="stable")  # steps ascending within a bucket
+    bucket = site_b[order]
+    lo = np.searchsorted(bucket, site_a, side="left")
+    size = np.searchsorted(bucket, site_a, side="right") - lo
+    # row j pairs with sorted positions lo[j]..lo[j]+size[j]-1; its pairs are
+    # numbered from start[j] in one running count
+    start = np.cumsum(size) - size
+    step = max(1, _PAIR_CELLS // arr_a.shape[1])
+    same, one = [], []
+    j = 0
+    while j < len(arr_a):
+        k = max(j + 1, int(np.searchsorted(start, start[j] + step)))
+        count = size[j:k]
+        a = np.repeat(np.arange(j, k), count)
+        b = order[np.repeat(lo[j:k] - start[j:k], count)
+                  + np.arange(start[j], start[j] + count.sum())]
+        j = k
+        diff = arr_a[a] != arr_b[b]
+        hits = diff.sum(axis=1)
+        at = np.nonzero(hits == 0)[0]
+        same.append((a[at], b[at]))
+        at = np.nonzero(hits == 1)[0]
+        a, b, i = a[at], b[at], diff[at].argmax(axis=1)
+        one.append((a, b, arr_a[a, i], arr_b[b, i]))
+    return tuple(map(np.concatenate, zip(*same))), tuple(map(np.concatenate, zip(*one)))
+
+
+def orbit_site_data(orbit: Orbit, h: LocalHamiltonian) -> OrbitSiteData:
+    """Histogram and cross pairs of an orbit, its rows in (j, j') order."""
+    arr = _coded(orbit, h)
     J, n = arr.shape
     hist = np.zeros((J, h.site_dim), dtype=np.int64)
     np.add.at(hist, (np.arange(J)[:, None], arr), 1)
-    is_ctrl = np.array([is_control(v) for v in h.site_values])
-    site = is_ctrl[arr].argmax(axis=1)
-    order = np.lexsort((site,))  # stable: steps ascending within a bucket
-    bucket = site[order]
-    lo = np.searchsorted(bucket, bucket, side="left")
-    size = np.searchsorted(bucket, bucket, side="right") - lo
-    # sorted position i pairs with every position lo[i]..lo[i]+size[i]-1;
-    # its pairs are numbered from start[i] in one running count
-    start = np.cumsum(size) - size
-    step = max(1, _PAIR_CELLS // n)
-    cross = [np.zeros((0, 4), dtype=np.int64)]
-    i = 0
-    while i < J:
-        k = max(i + 1, int(np.searchsorted(start, start[i] + step)))
-        count = size[i:k]
-        a = order[np.repeat(np.arange(i, k), count)]
-        b = order[np.repeat(lo[i:k] - start[i:k], count)
-                  + np.arange(start[i], start[i] + count.sum())]
-        i = k
-        diff = arr[a] != arr[b]
-        one = np.nonzero(diff.sum(axis=1) == 1)[0]
-        at = diff[one].argmax(axis=1)
-        a, b = a[one], b[one]
-        cross.append(np.stack([a, b, arr[a, at], arr[b, at]], axis=1))
-    cross = np.concatenate(cross)
-    return OrbitSiteData(
-        J=J, n_sites=n, hist=hist, cross=cross[np.lexsort((cross[:, 1], cross[:, 0]))]
-    )
+    _, one = _one_site_pairs(h, arr, arr)
+    return OrbitSiteData(J=J, n_sites=n, hist=hist, cross=np.stack(one, axis=1))
 
 
 def add_site_states(
@@ -411,7 +413,7 @@ class DenseSpace:
     eigvals: np.ndarray
     eigvecs: np.ndarray
     site_dim: int
-    value_index: dict
+    codes: np.ndarray  # (dim, n) site-value codes of the basis states
 
     def evolve(self, amplitudes: np.ndarray, t: float) -> np.ndarray:
         coeff = self.eigvecs.conj().T @ amplitudes
@@ -427,12 +429,10 @@ class DenseSpace:
         """Rows (b, b', v, v') of the basis pairs that agree off one site i,
         that site holding value index v in b and v' in b'; a basis state pairs
         with itself once per site."""
-        basis = self.space.basis
         groups = {}
-        for b, cells in enumerate(basis):
-            for i, x in enumerate(cells):
-                key = (i, cells[:i] + cells[i + 1 :])
-                groups.setdefault(key, []).append((b, self.value_index[x]))
+        for b, row in enumerate(self.codes.tolist()):
+            for i, v in enumerate(row):
+                groups.setdefault((i, tuple(row[:i] + row[i + 1 :])), []).append((b, v))
         return np.array(
             [(b1, b2, v1, v2) for hits in groups.values() for b1, v1 in hits for b2, v2 in hits]
         ).T
@@ -442,7 +442,7 @@ class DenseSpace:
         b1, b2, v1, v2 = self._site_pairs
         rho = np.zeros((self.site_dim, self.site_dim), dtype=complex)
         np.add.at(rho, (v1, v2), vec[b1] * np.conj(vec[b2]))
-        return rho / len(self.space.basis[0])
+        return rho / self.codes.shape[1]
 
     def longterm_site_average(self, vec: np.ndarray, tol: float = 1e-9) -> np.ndarray:
         """Infinite-time average via spectral projections, eigenvalues grouped
@@ -469,13 +469,11 @@ class DenseSpace:
         return rho
 
 
-def dense_space(
-    h: LocalHamiltonian, seeds, guard: int = DEFAULT_GUARD, dense_guard: int = DENSE_GUARD
-) -> DenseSpace:
-    space = reachable_space(h, seeds, guard=guard)
-    if space.dim > dense_guard:
+def dense_space(h: LocalHamiltonian, seeds) -> DenseSpace:
+    space = reachable_space(h, seeds)
+    if space.dim > DENSE_GUARD:
         raise DimensionGuard(
-            f"dense oracle refuses {space.dim} basis states (> {dense_guard})"
+            f"dense oracle refuses {space.dim} basis states (> {DENSE_GUARD})"
         )
     vals, vecs = np.linalg.eigh(space.h_matrix())
     return DenseSpace(
@@ -483,7 +481,7 @@ def dense_space(
         eigvals=vals,
         eigvecs=vecs,
         site_dim=h.site_dim,
-        value_index={v: i for i, v in enumerate(h.site_values)},
+        codes=h.encode(space.basis),
     )
 
 
@@ -495,22 +493,14 @@ def dense_space(
 def pair_overlap_matrix(
     orbit_a: Orbit, orbit_b: Orbit, h: LocalHamiltonian, b_matrix: np.ndarray
 ) -> np.ndarray:
-    """M[j', j] = <j'; x'| B^(L) |j; x> for the space average of B."""
-    idx = {v: i for i, v in enumerate(h.site_values)}
-    arr_a = np.array([[idx[x] for x in c.cells] for c in orbit_a.states], dtype=np.int32)
-    arr_b = np.array([[idx[x] for x in c.cells] for c in orbit_b.states], dtype=np.int32)
-    Ja, n = arr_a.shape
-    Jb, _ = arr_b.shape
-    out = np.zeros((Jb, Ja), dtype=complex)
-    for j in range(Ja):
-        diff = arr_b != arr_a[j]
-        counts = diff.sum(axis=1)
-        same = np.nonzero(counts == 0)[0]
-        for jp in same:
-            out[jp, j] = b_matrix[arr_b[jp], arr_a[j]].sum() / n
-        for jp in np.nonzero(counts == 1)[0]:
-            i0 = int(np.nonzero(diff[jp])[0][0])
-            out[jp, j] = b_matrix[arr_b[jp, i0], arr_a[j, i0]] / n
+    """M[j', j] = <j'; x'| B^(L) |j; x> for the space average of B: only
+    steps that differ at one site or none have a nonzero entry."""
+    arr_a, arr_b = _coded(orbit_a, h), _coded(orbit_b, h)
+    (sa, sb), (ja, jb, va, vb) = _one_site_pairs(h, arr_a, arr_b)
+    n = arr_a.shape[1]
+    out = np.zeros((len(arr_b), len(arr_a)), dtype=complex)
+    out[sb, sa] = b_matrix[arr_b[sb], arr_a[sa]].sum(axis=1) / n
+    out[jb, ja] = b_matrix[vb, va] / n
     return out
 
 
@@ -535,21 +525,12 @@ def dephasing_cross_term(
 
 
 def space_average_operator(ds: DenseSpace, b_matrix: np.ndarray) -> np.ndarray:
-    """B^(L) assembled on a dense closure basis (entries between basis states
-    that differ at no more than one site)."""
-    idx = ds.value_index
-    basis = [np.array([idx[x] for x in cells], dtype=np.int32) for cells in ds.space.basis]
-    arr = np.stack(basis)
-    dim, n = arr.shape
-    out = np.zeros((dim, dim), dtype=complex)
-    for b in range(dim):
-        diff = arr != arr[b]
-        counts = diff.sum(axis=1)
-        for bp in np.nonzero(counts == 0)[0]:
-            out[bp, b] = b_matrix[arr[bp], arr[b]].sum() / n
-        for bp in np.nonzero(counts == 1)[0]:
-            i0 = int(np.nonzero(diff[bp])[0][0])
-            out[bp, b] = b_matrix[arr[bp, i0], arr[b, i0]] / n
+    """B^(L) = (1/n) sum_i B_i assembled on a dense closure basis from the
+    site pairs ``site_average`` uses: <b'| B_i |b> = B[v', v] when b and b'
+    agree off site i."""
+    b1, b2, v1, v2 = ds._site_pairs
+    out = np.zeros((ds.space.dim, ds.space.dim), dtype=complex)
+    np.add.at(out, (b2, b1), b_matrix[v2, v1] / ds.codes.shape[1])
     return out
 
 

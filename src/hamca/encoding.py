@@ -50,6 +50,9 @@ class ParamsViolation(ValueError):
 
 A1 = a_cell("a1")
 
+# Largest support an ensemble enumerates; a larger one is a sampling handle.
+ENUMERATION_LIMIT = 10**6
+
 
 # ---------------------------------------------------------------------------
 # Input encoding
@@ -182,11 +185,7 @@ def site_distribution(encoding: InputEncoding, e0_value=None, e0_rate=Fraction(0
 
 
 def build_initial_ensemble(
-    spec: MachineSpec,
-    params: EnsembleParams,
-    encoding: InputEncoding,
-    eps_amp: Fraction = Fraction(0),
-    enumeration_limit: int = 10**6,
+    spec: MachineSpec, params: EnsembleParams, encoding: InputEncoding
 ) -> InitialEnsemble:
     """Product measure over configurations; exact enumeration when feasible."""
     e0 = control(spec.rw_mode, spec.init_state)
@@ -201,29 +200,20 @@ def build_initial_ensemble(
     meta = {
         "violations": params.violations(encoding.n),
         "support_per_site": len(support),
-        "truncated_weight": Fraction(0),
     }
-    if len(support) ** repeated > enumeration_limit:
+    if len(support) ** repeated > ENUMERATION_LIMIT:
         return InitialEnsemble(params, encoding, [], support, e0, meta)
     members = []
-    dropped = Fraction(0)
     for combo in itertools.product(support, repeat=repeated):
         w = Fraction(1)
         for _, wi in combo:
             w *= wi
         if w == 0:
             continue
-        if eps_amp and w < eps_amp:
-            dropped += w
-            continue
         cells = tuple(v for v, _ in combo)
         if params.mode == "anchored":
             cells = (e0,) + cells
         members.append((Configuration(cells, params.boundary), w))
-    if dropped:
-        total = 1 - dropped
-        members = [(c, w / total) for c, w in members]
-        meta["truncated_weight"] = dropped
     return InitialEnsemble(params, encoding, members, support, e0, meta)
 
 

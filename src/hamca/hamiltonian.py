@@ -27,6 +27,7 @@ from .machine import (
     PLUS,
     Configuration,
     MachineSpec,
+    MalformedConfiguration,
     NotReversible,
     Orbit,
     cell_to_tag,
@@ -63,8 +64,24 @@ class LocalHamiltonian:
         """Read-write pairs looked up by their target, for the adjoint."""
         return {dst: src for src, dst in self.u0_pairs.items()}
 
+    @cached_property
+    def value_code(self) -> dict:
+        """Site value -> its index in ``site_values``: the one site-value code."""
+        return {v: i for i, v in enumerate(self.site_values)}
+
+    def encode(self, rows, dtype=np.intp) -> np.ndarray:
+        """(rows, sites) array of the codes of configuration rows (sequences of
+        site values); a value outside ``site_values`` is a malformed input."""
+        code = self.value_code
+        try:
+            return np.array([[code[x] for x in row] for row in rows], dtype=dtype)
+        except KeyError as exc:
+            raise MalformedConfiguration(
+                f"site value {exc.args[0]!r} is not in the machine's site alphabet"
+            ) from None
+
     def value_index(self, value) -> int:
-        return self.site_values.index(value)
+        return int(self.encode([[value]])[0, 0])
 
 
 def compile_machine(spec: MachineSpec, boundary: str = "periodic") -> LocalHamiltonian:
@@ -258,10 +275,6 @@ class OrbitSpectrum:
         phases = np.exp(-1j * np.outer(ts, self.eigenvalues)) * np.conj(self.vectors[0])
         return phases @ self.vectors.T
 
-    def distinct_gaps(self, tol: float = 1e-9) -> np.ndarray:
-        lam = np.sort(np.unique(np.round(self.eigenvalues / tol) * tol))
-        return np.diff(lam)
-
 
 def orbit_spectrum(orbit: Orbit) -> OrbitSpectrum:
     """Eigendata of H restricted to the orbit span."""
@@ -278,9 +291,11 @@ def energy_gap_bound(orbit: Orbit) -> Fraction:
     return Fraction(8, (J + 1) ** 2)
 
 
-def min_distinct_gap(spectrum: OrbitSpectrum, tol: float = 1e-9) -> float:
-    gaps = spectrum.distinct_gaps(tol)
-    return float(gaps.min()) if gaps.size else float("inf")
+def min_distinct_gap(eigenvalues: np.ndarray, tol: float = 1e-9) -> float:
+    """Smallest gap between eigenvalues that differ after rounding to
+    multiples of ``tol``; inf when they all round to one value."""
+    lam = np.unique(np.round(eigenvalues / tol) * tol)
+    return float(np.diff(lam).min(initial=np.inf))
 
 
 # ---------------------------------------------------------------------------

@@ -402,10 +402,10 @@ def run_stats(
 ) -> RunStats:
     """Run forward by ``compile_machine``'s pair maps, counting exactly.
 
-    Site values are coded by their index in ``LocalHamiltonian.site_values``
-    and the lattice is a numpy int array.  Almost every step belongs to a
-    glide: identity read-write steps alternating with shifts across the cells
-    they leave unchanged.  A glide keeps the cell multiset and the control
+    Site values are coded by ``LocalHamiltonian.encode`` and the lattice is a
+    numpy int array.  Almost every step belongs to a glide: identity
+    read-write steps alternating with shifts across the cells they leave
+    unchanged.  A glide keeps the cell multiset and the control
     state fixed, so it costs one vectorized scan for the cell that ends it
     and one slice move of the cells it passes, and the statistics follow from
     per-value counts times durations.  Every other step is one plain Python
@@ -424,17 +424,8 @@ def run_stats(
     h = compile_machine(spec, config.boundary)
     values = h.site_values
     V = len(values)
-    code = {v: k for k, v in enumerate(values)}
-
-    def encode(cfg):
-        try:
-            return np.array([code[x] for x in cfg.cells], dtype=np.intp)
-        except KeyError as exc:
-            raise MalformedConfiguration(
-                f"site value {exc.args[0]!r} is not in the alphabet of {spec.name}"
-            ) from None
-
-    lat = encode(config)
+    code = h.value_code
+    lat = h.encode([config.cells])[0]
     n = len(lat)
     periodic = config.boundary == "periodic"
 
@@ -460,7 +451,7 @@ def run_stats(
     if prev is None:
         i_prev, c_prev, q_prev, lat_prev = -1, -1, None, None
     else:
-        lat_prev = encode(prev)
+        lat_prev = h.encode([prev.cells])[0]
         i_prev = prev.single_control()
         c_prev = int(lat_prev[i_prev])
         q_prev = state_of[c_prev]

@@ -40,6 +40,7 @@ from .hamiltonian import (
     LocalHamiltonian,
     TruncatedOrbit,
     compile_machine,
+    min_distinct_gap,
     orbit_spectrum,
 )
 from .machine import MachineSpec, a_cell
@@ -55,6 +56,12 @@ MAX_GRID_POINTS = 1 << 20
 # Grid points per states_at call; the (chunk, s, s) stacks over the s occupied
 # site values set peak memory.
 GRID_CHUNK = 128
+
+# Steps a member orbit may take before the instance is refused.
+ORBIT_BUDGET = 200000
+
+# Largest joint spectrum of a block configuration whose gap is certified.
+PRODUCT_GUARD = 200000
 
 
 class InvalidThresholds(ValueError):
@@ -95,14 +102,17 @@ class TimeGrid:
         return self.dt * np.arange(1, k + 1)
 
 
-def make_grid(eta, eps1, norm_h: float = NORM_H_BOUND, t0=None, k_max=None) -> TimeGrid:
-    """Grid whose step keeps each interval's state drift within (eta-eps1)/2."""
+def _grid_step(eta, eps1) -> float:
+    """Step that keeps each interval's state drift within (eta-eps1)/2."""
     eta, eps1 = float(eta), float(eps1)
     if not (0 < eps1 and 2 * eps1 <= eta < 1):
         raise InvalidThresholds(f"need 0 < 2*eps1 <= eta < 1, got eta={eta}, eps1={eps1}")
-    if norm_h <= 0:
-        raise InvalidThresholds("norm bound must be positive")
-    dt = (eta - eps1) / (4 * norm_h)
+    return (eta - eps1) / (4 * NORM_H_BOUND)
+
+
+def make_grid(eta, eps1, t0=None, k_max=None) -> TimeGrid:
+    """Grid of step ``_grid_step`` up to the cutoff ``t0`` or ``k_max`` points."""
+    dt = _grid_step(eta, eps1)
     if k_max is None:
         if t0 is None:
             raise InvalidThresholds("need either a cutoff time or a grid size")
@@ -170,7 +180,6 @@ class DecisionInstance:
     eps1: float
     gamma: int = 1
     t0_override: float = None
-    orbit_budget: int = 200000
     gap_floor: Fraction = None  # explicit floor; default 2^-L^gamma
     label: str = ""
 
@@ -185,7 +194,7 @@ class DecisionInstance:
         """The grid averager over the member orbits (per block for block
         members), each orbit stepped once for the life of the instance."""
         h = compile_machine(self.machine, self.ensemble.params.boundary)
-        return _EnsembleGridAverager(h, self.ensemble, self.orbit_budget)
+        return _EnsembleGridAverager(h, self.ensemble)
 
 
 def fixture_gap_floor(instance: DecisionInstance) -> Fraction:
@@ -235,15 +244,16 @@ class _EnsembleGridAverager:
     value pairs they occupy; a grid chunk then costs a fixed amount of work
     per shape, not per member.  States are kept in the basis of ``values``,
     the sorted indices of the site values some member's orbit holds, plus
-    a1: no entry outside that block is ever nonzero.
+    a1: no entry outside that block is ever nonzero.  ``shapes`` maps each
+    shape to its fold, whose ``OrbitSpectrum`` also serves ``min_orbit_gap``.
     """
 
-    def __init__(self, h: LocalHamiltonian, ensemble: InitialEnsemble, budget: int):
+    def __init__(self, h: LocalHamiltonian, ensemble: InitialEnsemble):
         self.h = h
         self.members = []
         self.member_blocks = []  # per ensemble member: list of orbits
         for cfg, w in ensemble.members:
-            terms = member_orbit_terms(h, cfg, budget)
+            terms = member_orbit_terms(h, cfg, ORBIT_BUDGET)
             block_orbits = []
             for orbit, scale in terms:
                 if orbit.kind == "truncated":
@@ -262,7 +272,9 @@ class _EnsembleGridAverager:
         by_shape = {}
         for orbit, data, w in self.members:
             by_shape.setdefault((orbit.length, orbit.kind), []).append((orbit, data, w))
-        self.shapes = [_fold_shape(group, self.values) for group in by_shape.values()]
+        self.shapes = {
+            shape: _fold_shape(group, self.values) for shape, group in by_shape.items()
+        }
 
     def states_at(self, ts: np.ndarray) -> np.ndarray:
         """The (T, s, s) stack of space-averaged site states at ``ts`` over
@@ -271,7 +283,7 @@ class _EnsembleGridAverager:
         s = len(self.values)
         out = np.zeros((len(ts), s, s), dtype=complex)
         diag = np.arange(s)
-        for spectrum, hist, (j0, j1), (v0, v1), kernel in self.shapes:
+        for spectrum, hist, (j0, j1), (v0, v1), kernel in self.shapes.values():
             amps = spectrum.amplitudes(ts)
             out[:, diag, diag] += np.abs(amps) ** 2 @ hist
             pair_w = amps[:, j0] * np.conj(amps[:, j1])
@@ -279,34 +291,31 @@ class _EnsembleGridAverager:
             out[:, v0, v1] += pair_w.real @ kernel + 1j * (pair_w.imag @ kernel)
         return out
 
-    def min_orbit_gap(self, product_guard: int = 200000) -> float:
+    def min_orbit_gap(self) -> float:
         """Smallest distinct-eigenvalue gap over the reachable spectra.
 
         For a block configuration the reachable spectrum is the sumset of the
-        per-block spectra, assembled exactly (with a size guard) because sums
-        of per-block eigenvalues can come closer than any single block's gap.
-        The spectra depend only on the block shapes, so each distinct tuple of
-        shapes is sized once.
+        per-block spectra, assembled exactly (up to ``PRODUCT_GUARD``
+        eigenvalues) because sums of per-block eigenvalues can come closer
+        than any single block's gap.  The spectra depend only on the block
+        shapes, so each distinct tuple of shapes is sized once, from the
+        spectra of the folds.
         """
-        by_shapes = {
-            tuple((orbit.length, orbit.kind) for orbit in blocks): blocks
+        block_shapes = {
+            tuple((orbit.length, orbit.kind) for orbit in blocks)
             for blocks in self.member_blocks
         }
         worst = float("inf")
-        for block_orbits in by_shapes.values():
+        for shapes in block_shapes:
             lams = np.array([0.0])
-            size = 1
-            for orbit in block_orbits:
-                spec = orbit_spectrum(orbit)
-                size *= len(spec.eigenvalues)
-                if size > product_guard:
+            for shape in shapes:
+                eigenvalues = self.shapes[shape][0].eigenvalues
+                if len(lams) * len(eigenvalues) > PRODUCT_GUARD:
                     raise DimensionGuard(
                         "joint spectrum too large to certify the gap floor"
                     )
-                lams = (lams[:, None] + spec.eigenvalues[None, :]).ravel()
-            lams = np.unique(np.round(np.sort(lams) / 1e-9) * 1e-9)
-            if len(lams) > 1:
-                worst = min(worst, float(np.diff(lams).min()))
+                lams = (lams[:, None] + eigenvalues[None, :]).ravel()
+            worst = min(worst, min_distinct_gap(lams))
         return worst
 
 
@@ -344,7 +353,7 @@ def _grid_fires(inst: DecisionInstance, k_max: int):
     # e1 is diagonal and inside values, so avg - e1 is zero off the values
     # block and its trace norm is that block's
     e1_state = basis_state(avger.h, a_cell("a1"))[np.ix_(avger.values, avger.values)]
-    dt = make_grid(inst.eta, inst.eps1, NORM_H_BOUND, k_max=1).dt
+    dt = _grid_step(inst.eta, inst.eps1)
     running = np.zeros(e1_state.shape, dtype=complex)
     for done in range(0, k_max, GRID_CHUNK):
         ks = np.arange(done + 1, min(done + GRID_CHUNK, k_max) + 1)
@@ -365,7 +374,7 @@ def decide_finite(instance: DecisionInstance) -> Verdict:
     t0 = instance.t0_override
     if t0 is None:
         t0 = t0_cutoff(instance.ensemble.params.L, instance.gamma)
-    grid = make_grid(instance.eta, instance.eps1, NORM_H_BOUND, t0=t0)
+    grid = make_grid(instance.eta, instance.eps1, t0=t0)
     if grid.k_max > MAX_GRID_POINTS:
         raise DimensionGuard(
             f"time grid of {grid.k_max} points exceeds {MAX_GRID_POINTS}"

@@ -117,7 +117,7 @@ def test_a1_spectral_formula_vs_dense_exponential():
         ds = dense_space(h, [cfg])
         v0 = ds.state_vector(cfg)
         for t in rng.uniform(0, 50, 20):
-            amps = evolve_spectral(orbit, t).amps
+            amps = evolve_spectral(orbit, t)
             dense = ds.evolve(v0, t)
             dvec = np.array([dense[ds.space.index[c.cells]] for c in orbit.states])
             worst = max(worst, float(np.abs(amps - dvec).max()))
@@ -236,7 +236,7 @@ def test_a5_energy_gap():
         for kind in ("dead_end", "cycle"):
             orbit = Orbit(tuple([None] * J), (kind, J))
             bound = float(energy_gap_bound(orbit))
-            gap = min_distinct_gap(orbit_spectrum(orbit))
+            gap = min_distinct_gap(orbit_spectrum(orbit).eigenvalues)
             worst_margin = min(worst_margin, gap - bound)
     ok = worst_margin >= -1e-12
     report("A5", ok, f"min (gap - 8/(J+1)^2) over J<=300 both kinds: {worst_margin:.3e}",

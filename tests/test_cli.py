@@ -115,6 +115,9 @@ _INSTANCE = {"inner": "halt_now", "variant": "one-way-amp", "decode": False,
     (["gap", "--machine", "classless.json"], None),
     (["decide"], {"machine_ref": "classless.json"}),
     (["orbit", "--machine", "stay.json"], None),
+    (["evolve", "--machine", "no_a1.json"], None),
+    (["timeavg", "--machine", "no_a1.json"], None),
+    (["decide"], {"machine_ref": "no_a1.json"}),
 ])
 def test_malformed_input_exit_2(tmp_path, capsys, argv, instance):
     """Every malformed input exits 2 with a one-line message, no traceback."""
@@ -137,11 +140,15 @@ def _oneway_spec():
 
 def _write_refused_specs(tmp_path):
     """Spec files that parse but must be refused: a state with no shift class,
-    and a stay-in-place shift class."""
+    a stay-in-place shift class, and a cell alphabet without the a1 that
+    anchored configurations are filled with."""
     data = _oneway_spec()
     classless = {**data, "shift_plus": [q for q in data["shift_plus"] if q != "amp"]}
     (tmp_path / "classless.json").write_text(json.dumps(classless))
     (tmp_path / "stay.json").write_text(json.dumps({**data, "shift_zero": ["amp"]}))
+    no_a1 = {**data, "a_track2": [t for t in data["a_track2"] if t != "a1"],
+             "rules": [r for r in data["rules"] if "A:a1" not in (r[1], r[3])]}
+    (tmp_path / "no_a1.json").write_text(json.dumps(no_a1))
 
 
 def test_spec_with_empty_stay_class_loads(tmp_path, capsys):

@@ -22,6 +22,7 @@ from hamca.dynamics import (
     pair_weight_matrix,
     run_orbit_cached,
     site_average_weighted,
+    space_average_operator,
     time_avg_probs,
     time_avg_probs_overlap,
     trace_distance,
@@ -43,7 +44,7 @@ from hamca.staged import FIXTURES, VARIANTS, build_staged_machine
 def test_evolve_identity_at_zero(oneway_nd, h_oneway_nd):
     cfg = anchored_configuration(oneway_nd, 5)
     orbit = run_orbit_cached(cfg, h_oneway_nd, 10_000)
-    amps = evolve_spectral(orbit, 0.0).amps
+    amps = evolve_spectral(orbit, 0.0)
     assert abs(amps[0] - 1.0) < 1e-12
     assert np.abs(amps[1:]).max() < 1e-12
 
@@ -52,7 +53,7 @@ def test_evolve_unitary(oneway_nd, h_oneway_nd, rng):
     cfg = anchored_configuration(oneway_nd, 6)
     orbit = run_orbit_cached(cfg, h_oneway_nd, 10_000)
     for t in rng.uniform(0, 50, 10):
-        amps = evolve_spectral(orbit, t).amps
+        amps = evolve_spectral(orbit, t)
         assert abs(np.sum(np.abs(amps) ** 2) - 1.0) < 1e-10
 
 
@@ -62,7 +63,7 @@ def test_evolve_matches_dense(oneway_nd, h_oneway_nd, rng):
     ds = dense_space(h_oneway_nd, [cfg])
     v0 = ds.state_vector(cfg)
     for t in rng.uniform(0, 50, 20):
-        amps = evolve_spectral(orbit, t).amps
+        amps = evolve_spectral(orbit, t)
         dense = ds.evolve(v0, t)
         dvec = np.array([dense[ds.space.index[c.cells]] for c in orbit.states])
         assert np.abs(amps - dvec).max() < 1e-9
@@ -381,11 +382,44 @@ def test_dephasing_batched_matches_per_time(oneway, h_oneway, rng):
         ob = run_orbit_cached(xp, h_oneway, 10_000)
         m = pair_overlap_matrix(oa, ob, h_oneway, b)
         per_t = max(
-            abs(np.conj(evolve_spectral(ob, t).amps) @ m @ evolve_spectral(oa, t).amps)
+            abs(np.conj(evolve_spectral(ob, t)) @ m @ evolve_spectral(oa, t))
             for t in ts
         )
         assert per_t > 1e-3
         assert abs(dephasing_cross_term(h_oneway, x, xp, b, ts) - per_t) < 1e-12
+
+
+def _a4_anchored_pairs(spec):
+    """The anchored pairs of acceptance row A4 at L = 5: one simulation cell
+    moved, or its bits changed."""
+    configs = [anchored_configuration(spec, 5, {pos: bits})
+               for pos in (2, 3, 4, 5) for bits in ((0, 0), (0, 1), (1, 0), (1, 1))]
+    configs.append(anchored_configuration(spec, 5))
+    pairs = [(configs[i], configs[j]) for i in range(len(configs))
+             for j in range(i + 1, len(configs))][:40]
+    return pairs + [(configs[0], c) for c in configs[9:16]]
+
+
+def test_pair_overlap_matrix_matches_dense_operator(oneway, h_oneway):
+    """The orbit route's B^(L) entries between the steps of x and x' equal
+    the dense oracle's operator on the closure of both; (x, x) adds the
+    entries between identical configurations."""
+    d = h_oneway.site_dim
+    b = np.random.RandomState(11).standard_normal((d, d, 2)) @ np.array([1, 1j])
+    pairs = _a4_anchored_pairs(oneway)
+    x0 = pairs[0][0]
+    entries = 0
+    for x, xp in pairs + [(x0, x0)]:
+        oa = run_orbit_cached(x, h_oneway, 10_000)
+        ob = run_orbit_cached(xp, h_oneway, 10_000)
+        ds = dense_space(h_oneway, [x, xp])
+        ia = [ds.space.index[c.cells] for c in oa.states]
+        ib = [ds.space.index[c.cells] for c in ob.states]
+        want = space_average_operator(ds, b)[np.ix_(ib, ia)]
+        m = pair_overlap_matrix(oa, ob, h_oneway, b)
+        assert np.abs(m - want).max() < 1e-12
+        entries += np.count_nonzero(want)
+    assert entries > 0
 
 
 def test_dephasing_iid_block_splits(iid_nd, rng):

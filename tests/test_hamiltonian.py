@@ -195,7 +195,7 @@ def test_spectrum_examples():
     spec2 = orbit_spectrum(fake_orbit(2, "dead_end"))
     assert np.allclose(sorted(spec2.eigenvalues), [-1.0, 1.0])
     spec7 = orbit_spectrum(fake_orbit(7, "dead_end"))
-    assert min_distinct_gap(spec7) == pytest.approx(0.4336, abs=2e-4)
+    assert min_distinct_gap(spec7.eigenvalues) == pytest.approx(0.4336, abs=2e-4)
     assert energy_gap_bound(fake_orbit(7, "dead_end")) == pytest.approx(0.125)
     cyc4 = orbit_spectrum(fake_orbit(4, "cycle"))
     assert np.allclose(sorted(cyc4.eigenvalues), [-2.0, 0.0, 0.0, 2.0])
@@ -234,7 +234,7 @@ def test_gap_bound_sweep():
         orbit = Orbit(tuple([None] * J), ("dead_end", J))
         bound = float(energy_gap_bound(orbit))
         if J > 1:
-            assert min_distinct_gap(orbit_spectrum(orbit)) >= bound - 1e-12
+            assert min_distinct_gap(orbit_spectrum(orbit).eigenvalues) >= bound - 1e-12
 
 
 def test_hamiltonian_json_round_trip(oneway, h_oneway):

@@ -72,7 +72,7 @@ def _instance(inner, variant, L, alpha, eta, eps1, t0, v="1"):
 
 
 def test_make_grid_examples():
-    grid = make_grid(0.5, 0.25, norm_h=2.0, k_max=4)
+    grid = make_grid(0.5, 0.25, k_max=4)
     assert grid.dt == pytest.approx(1 / 32)
     assert t0_cutoff(3, 1) == 2**15
     with pytest.raises(InvalidThresholds):
@@ -295,7 +295,7 @@ def test_states_at_matches_per_member_sum(shuttle, oneway, iid_nd):
              (*_a11_style_ensemble("ping_pong"), {"dead_end"}, 5, False)]
     for spec, members, kinds, n_shapes, small in cases:
         h = compile_machine(spec)
-        avger = _EnsembleGridAverager(h, SimpleNamespace(members=members), 1000)
+        avger = _EnsembleGridAverager(h, SimpleNamespace(members=members))
         assert {orbit.kind for orbit, _, _ in avger.members} == kinds
         if n_shapes is not None:
             assert (len(avger.members), len(avger.shapes)) == (243, n_shapes)
