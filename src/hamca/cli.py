@@ -19,9 +19,9 @@ import numpy as np
 from . import __version__
 from .dynamics import (
     basis_state,
+    coded_orbit,
     longterm_site_average,
     orbit_site_average,
-    run_orbit_cached,
     trace_distance,
 )
 from .encoding import (
@@ -189,7 +189,7 @@ def cmd_evolve(args):
     spec = _machine_from_args(args)
     h = compile_machine(spec, args.boundary)
     config = _config_from_args(spec, args)
-    orbit = run_orbit_cached(config, h, args.max_steps)
+    orbit = coded_orbit(h, config, args.max_steps)
     if orbit.kind == "truncated":
         raise TruncatedOrbit("orbit did not close within the step budget")
     i1 = h.value_index(a_cell("a1"))

@@ -26,7 +26,6 @@ from .hamiltonian import (
     LocalHamiltonian,
     ReachableSpace,
     TruncatedOrbit,
-    apply_update,
     orbit_spectrum,
     reachable_space,
 )
@@ -38,7 +37,6 @@ from .machine import (
     Orbit,
     RunStats,
     is_control,
-    orbit_of,
     run_stats,
     split_blocks,
 )
@@ -208,12 +206,20 @@ class OrbitSiteData:
 _PAIR_CELLS = 1 << 20
 
 
-def _coded(orbit: Orbit, h: LocalHamiltonian) -> np.ndarray:
-    """(J, n) site-value codes of an orbit's steps, in the smallest int type."""
-    return h.encode((c.cells for c in orbit.states), np.min_scalar_type(h.site_dim - 1))
+def _row_dtype(h: LocalHamiltonian) -> np.dtype:
+    """The smallest unsigned type that holds every site-value code."""
+    return np.min_scalar_type(h.site_dim - 1)
 
 
-def _one_site_pairs(h: LocalHamiltonian, arr_a: np.ndarray, arr_b: np.ndarray):
+def _coded(orbit, h: LocalHamiltonian) -> np.ndarray:
+    """(J, n) site-value codes of an orbit's steps; a ``CodedOrbit`` holds
+    them already, an ``Orbit`` of configurations is encoded."""
+    if isinstance(orbit, CodedOrbit):
+        return orbit.rows
+    return h.encode((c.cells for c in orbit.states), _row_dtype(h))
+
+
+def _one_site_pairs(h: LocalHamiltonian, arr_a: np.ndarray, arr_b: np.ndarray, orbit_of_row=0):
     """Step pairs (j, j') of two coded orbits, j a row of ``arr_a`` and j' of
     ``arr_b``, whose configurations differ at no site or at exactly one.
 
@@ -223,11 +229,14 @@ def _one_site_pairs(h: LocalHamiltonian, arr_a: np.ndarray, arr_b: np.ndarray):
     site or none hold their control on the same site: otherwise each would
     hold a control where the other holds a cell.  So a row is compared only
     with the rows of ``arr_b`` in its control-site bucket, sum_p a_p b_p n
-    work for a_p and b_p steps at site p.  The pairs are built and compared
-    in slices of about ``_PAIR_CELLS`` cells, so short orbits take one pass.
+    work for a_p and b_p steps at site p.  When ``arr_a is arr_b`` stacks
+    the rows of several orbits, ``orbit_of_row`` numbers each row's orbit and
+    the buckets are (orbit, control site), so no pair joins two orbits.  The
+    pairs are built and compared in slices of about ``_PAIR_CELLS`` cells, so
+    short orbits take one pass.
     """
-    is_ctrl = np.array([is_control(v) for v in h.site_values])
-    site_b = is_ctrl[arr_b].argmax(axis=1)
+    is_ctrl = h.step_table.is_control
+    site_b = is_ctrl[arr_b].argmax(axis=1) + arr_b.shape[1] * orbit_of_row
     site_a = site_b if arr_a is arr_b else is_ctrl[arr_a].argmax(axis=1)
     order = np.argsort(site_b, kind="stable")  # steps ascending within a bucket
     bucket = site_b[order]
@@ -256,14 +265,37 @@ def _one_site_pairs(h: LocalHamiltonian, arr_a: np.ndarray, arr_b: np.ndarray):
     return tuple(map(np.concatenate, zip(*same))), tuple(map(np.concatenate, zip(*one)))
 
 
-def orbit_site_data(orbit: Orbit, h: LocalHamiltonian) -> OrbitSiteData:
+def batch_site_data(orbits, h: LocalHamiltonian) -> list:
+    """``orbit_site_data`` of each orbit, from one ``_one_site_pairs`` pass
+    per lattice width: the rows of the orbits of one width are stacked and
+    bucketed by (orbit, control site), then split back per orbit, each in
+    its own (j, j') order."""
+    arrs = [_coded(orbit, h) for orbit in orbits]
+    by_width = {}
+    for k, arr in enumerate(arrs):
+        by_width.setdefault(arr.shape[1], []).append(k)
+    d = h.site_dim
+    out = [None] * len(arrs)
+    for n, ks in by_width.items():
+        arr = np.concatenate([arrs[k] for k in ks])
+        lengths = [len(arrs[k]) for k in ks]
+        first = np.cumsum(lengths) - lengths  # each orbit's first stacked row
+        which = np.repeat(np.arange(len(ks)), lengths)
+        R = len(arr)
+        hist = np.bincount((np.arange(R)[:, None] * d + arr).ravel(), minlength=R * d)
+        _, (ja, jb, va, vb) = _one_site_pairs(h, arr, arr, which)
+        base = first[which[ja]]
+        cross = np.stack([ja - base, jb - base, va, vb], axis=1)
+        hists = np.split(hist.reshape(R, d), first[1:])
+        crosses = np.split(cross, np.searchsorted(ja, first[1:]))
+        for k, hist_k, cross_k in zip(ks, hists, crosses):
+            out[k] = OrbitSiteData(J=len(hist_k), n_sites=n, hist=hist_k, cross=cross_k)
+    return out
+
+
+def orbit_site_data(orbit, h: LocalHamiltonian) -> OrbitSiteData:
     """Histogram and cross pairs of an orbit, its rows in (j, j') order."""
-    arr = _coded(orbit, h)
-    J, n = arr.shape
-    hist = np.zeros((J, h.site_dim), dtype=np.int64)
-    np.add.at(hist, (np.arange(J)[:, None], arr), 1)
-    _, one = _one_site_pairs(h, arr, arr)
-    return OrbitSiteData(J=J, n_sites=n, hist=hist, cross=np.stack(one, axis=1))
+    return batch_site_data([orbit], h)[0]
 
 
 def add_site_states(
@@ -315,8 +347,8 @@ def longterm_site_average(
     and new sites, since read-write steps and shifts alternate.  So no cross
     pair carries weight, and the state is the visit law (3/2 weight at the
     two ends) on the diagonal, straight from the counts.  A cycle weighs the
-    cross pairs of its materialized orbit with ``pair_weight_matrix``; one
-    longer than ``DENSE_GUARD`` steps is refused before anything is built.
+    cross pairs of its coded orbit with ``pair_weight_matrix``; one longer
+    than ``DENSE_GUARD`` steps is refused before anything is built.
     """
     stats = run_stats(spec, cfg, max_steps)
     if stats.terminal == "truncated":
@@ -326,7 +358,7 @@ def longterm_site_average(
             raise DimensionGuard(
                 f"cycle kernel refuses J = {stats.length} (> {DENSE_GUARD})"
             )
-        data = orbit_site_data(run_orbit_cached(cfg, h, max_steps), h)
+        data = orbit_site_data(coded_orbit(h, cfg, max_steps), h)
         rho = site_average_weighted(data, pair_weight_matrix(stats.length), h.site_dim)
         return rho, stats
     counts = [
@@ -342,7 +374,8 @@ def longterm_site_average(
 def member_orbit_terms(h: LocalHamiltonian, cfg: Configuration, max_steps: int):
     """Orbit contributions of one configuration to the space average.
 
-    A single-control configuration contributes its own orbit with weight one.
+    A single-control configuration contributes its own coded orbit with
+    weight one.
     A multi-control configuration splits into non-interacting blocks, and the
     space average over the whole lattice is the size-weighted sum of the
     per-block space averages, so each block orbit enters with weight
@@ -357,10 +390,11 @@ def member_orbit_terms(h: LocalHamiltonian, cfg: Configuration, max_steps: int):
     for block in blocks:
         if not block.control_sites():
             # no control: the update never acts, the part is frozen
-            out.append((Orbit((block,), ("dead_end", 1)), block.size / cfg.size))
+            frozen = CodedOrbit(h.encode([block.cells], _row_dtype(h)), ("dead_end", 1))
+            out.append((frozen, block.size / cfg.size))
             continue
-        orbit = run_orbit_cached(block, h, max_steps)
-        head = orbit.states[-1].cells[0]
+        orbit = coded_orbit(h, block, max_steps)
+        head = h.site_values[orbit.rows[-1, 0]]
         if (
             block is not cfg
             and orbit.kind == "dead_end"
@@ -394,10 +428,79 @@ def ensemble_site_average(members, h: LocalHamiltonian, t: float, max_steps=1000
     return rho
 
 
+@dataclass(frozen=True)
+class CodedOrbit:
+    """An orbit as its (J, n) site-value codes, one row per step, in the
+    smallest unsigned type; ``terminal`` as in ``machine.Orbit``."""
+
+    rows: np.ndarray
+    terminal: tuple
+
+    @property
+    def length(self) -> int:
+        return len(self.rows)
+
+    @property
+    def kind(self) -> str:
+        return self.terminal[0]
+
+
+def coded_orbit(h: LocalHamiltonian, cfg: Configuration, max_steps: int) -> CodedOrbit:
+    """Forward orbit of a single-control configuration, stepped as a list of
+    site-value codes through ``h.step_table``, under the configuration's own
+    boundary.  It ends as ``machine.orbit_of`` does: at a dead end, in a cycle
+    on return to the start row (by injectivity no other row recurs), or
+    truncated after ``max_steps`` steps."""
+    rw_next, shift_next, _, _ = h.step_table
+    values, rw_mode = h.site_values, h.rw_mode
+    periodic = cfg.boundary == "periodic"
+    i = i0 = cfg.single_control()
+    row = h.encode([cfg.cells])[0].tolist()
+    start, c0, n = row[:], row[i], len(row)
+    flat = row[:]
+    kind = "dead_end"
+    for _ in range(max_steps):
+        c = row[i]
+        if values[c][1] == rw_mode:
+            k = 0 if i + 1 == n and periodic else i + 1
+            # None also at the open end, and when k is the control itself
+            hit = rw_next.get((c, row[k])) if k < n else None
+            if hit is None:
+                break
+            row[i], row[k] = hit
+        else:
+            hit = shift_next.get(c)
+            if hit is None:
+                break
+            c, k = hit[0], i + hit[1]
+            if periodic:
+                k %= n
+            elif not 0 <= k < n:
+                break
+            if k == i:  # a one-site ring: the control would swap with itself
+                break
+            row[i], row[k] = row[k], c
+            i = k
+        if i == i0 and row[i] == c0 and row == start:
+            kind = "cycle"
+            break
+        flat += row
+    else:
+        kind = "truncated"
+    rows = np.array(flat, dtype=_row_dtype(h)).reshape(-1, n)
+    return CodedOrbit(rows, (kind, len(rows)))
+
+
 def run_orbit_cached(cfg: Configuration, h: LocalHamiltonian, max_steps: int) -> Orbit:
-    """Forward orbit stepped through the compiled update maps (``apply_update``),
-    the second route beside ``machine.run_orbit``.  Nothing is cached."""
-    return orbit_of(lambda c: apply_update(h, c), cfg, max_steps)
+    """``coded_orbit`` decoded to configurations: the compiled route beside
+    ``machine.run_orbit``.  Nothing is cached."""
+    orbit = coded_orbit(h, cfg, max_steps)
+    values = h.site_values
+    states = tuple(
+        Configuration(tuple(values[k] for k in row), cfg.boundary)
+        for row in orbit.rows.tolist()
+    )
+    return Orbit(states, orbit.terminal)
 
 
 # ---------------------------------------------------------------------------
@@ -513,8 +616,8 @@ def dephasing_cross_term(
     max_steps: int = 100000,
 ) -> float:
     """max over t of |<x'| e^{itH} B^(L) e^{-itH} |x>| through orbit expansions."""
-    orbit_a = run_orbit_cached(x, h, max_steps)
-    orbit_b = run_orbit_cached(xp, h, max_steps)
+    orbit_a = coded_orbit(h, x, max_steps)
+    orbit_b = coded_orbit(h, xp, max_steps)
     if orbit_a.kind == "truncated" or orbit_b.kind == "truncated":
         raise TruncatedOrbit("dephasing check needs complete orbits")
     m = pair_overlap_matrix(orbit_a, orbit_b, h, b_matrix)

@@ -7,9 +7,11 @@ materialized on the full tensor space; dense linear algebra happens only on
 the subspace reachable from a seed set of configurations, which for a legal
 initial configuration is exactly its orbit.
 
-``apply_update`` deliberately re-implements the stepping mechanics from the
-pair maps alone, so agreement with ``machine.step`` is a two-route check of
-the compilation, not a tautology.
+``apply_update`` and ``LocalHamiltonian.step_table`` (the pair maps in
+site-value codes, which ``machine.run_stats`` and ``dynamics.coded_orbit``
+step through) deliberately re-implement the stepping mechanics from the pair
+maps alone, so agreement with ``machine.step`` is a two-route check of the
+compilation, not a tautology.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -43,6 +45,15 @@ class TruncatedOrbit(ValueError):
 
 class DimensionGuard(ValueError):
     pass
+
+
+class StepTable(NamedTuple):
+    """The pair maps over site-value codes, for the integer steppers."""
+
+    rw_next: dict  # (control, cell) -> (control', cell')
+    shift_next: dict  # shift-mode control -> (read-write control, +1 or -1)
+    other: dict  # control -> the same state's control in the other mode
+    is_control: np.ndarray  # bool per site-value code
 
 
 @dataclass(frozen=True)
@@ -82,6 +93,24 @@ class LocalHamiltonian:
 
     def value_index(self, value) -> int:
         return int(self.encode([[value]])[0, 0])
+
+    @cached_property
+    def step_table(self) -> StepTable:
+        """The pair maps in site-value codes, built once per Hamiltonian."""
+        code = self.value_code
+        controls = {k: v for k, v in enumerate(self.site_values) if is_control(v)}
+        other = {k: code[("Q", 1 - m, q)] for k, (_, m, q) in controls.items()}
+        rw_next = {
+            (code[("Q",) + src], code[cell]): (code[("Q",) + dst], code[cell2])
+            for (src, cell), (dst, cell2) in self.u0_pairs.items()
+        }
+        shift_next = {}
+        for q, d in self.shift_dirs.items():
+            c_rw = code[("Q", self.rw_mode, q)]
+            shift_next[other[c_rw]] = (c_rw, 1 if d == PLUS else -1)
+        is_ctrl = np.zeros(self.site_dim, dtype=bool)
+        is_ctrl[list(controls)] = True
+        return StepTable(rw_next, shift_next, other, is_ctrl)
 
 
 def compile_machine(spec: MachineSpec, boundary: str = "periodic") -> LocalHamiltonian:
@@ -248,27 +277,34 @@ class OrbitSpectrum:
 
     Dead-end orbits carry the J-site path spectrum 2cos(k pi/(J+1)) with sine
     eigenvectors; cyclic orbits carry the circulant spectrum 2cos(2 pi k/J)
-    with Fourier eigenvectors.
+    with Fourier eigenvectors.  The J x J eigenvector matrix is built on
+    first use, so reading the eigenvalues costs O(J).
     """
 
     kind: str  # "dead_end" or "cycle"
     length: int
     eigenvalues: np.ndarray
-    vectors: np.ndarray  # columns are eigenvectors over j = 1..J
 
     @classmethod
     def of(cls, kind: str, J: int) -> "OrbitSpectrum":
         if kind == "dead_end":
+            lam = 2 * np.cos(np.arange(1, J + 1) * np.pi / (J + 1))
+        else:
+            lam = 2 * np.cos(2 * np.pi * np.arange(J) / J)
+        return cls(kind, J, lam)
+
+    @cached_property
+    def vectors(self) -> np.ndarray:
+        """Columns are the eigenvectors over j = 1..J, in the order of
+        ``eigenvalues``."""
+        J = self.length
+        if self.kind == "dead_end":
             k = np.arange(1, J + 1)
-            lam = 2 * np.cos(k * np.pi / (J + 1))
             j = np.arange(1, J + 1)[:, None]
-            vecs = np.sqrt(2.0 / (J + 1)) * np.sin(j * k[None, :] * np.pi / (J + 1))
-            return cls("dead_end", J, lam, vecs)
+            return np.sqrt(2.0 / (J + 1)) * np.sin(j * k[None, :] * np.pi / (J + 1))
         k = np.arange(J)
-        lam = 2 * np.cos(2 * np.pi * k / J)
         j = np.arange(J)[:, None]
-        vecs = np.exp(2j * np.pi * k[None, :] * j / J) / np.sqrt(J)
-        return cls("cycle", J, lam, vecs)
+        return np.exp(2j * np.pi * k[None, :] * j / J) / np.sqrt(J)
 
     def amplitudes(self, ts) -> np.ndarray:
         """<j| exp(-i t H) |1> for every t in ``ts`` and j = 1..J, shape (T, J)."""
@@ -293,9 +329,10 @@ def energy_gap_bound(orbit: Orbit) -> Fraction:
 
 def min_distinct_gap(eigenvalues: np.ndarray, tol: float = 1e-9) -> float:
     """Smallest gap between eigenvalues that differ after rounding to
-    multiples of ``tol``; inf when they all round to one value."""
-    lam = np.unique(np.round(eigenvalues / tol) * tol)
-    return float(np.diff(lam).min(initial=np.inf))
+    multiples of ``tol``; inf when they all round to one value.  The gaps
+    between distinct values are the positive differences of the sorted ones."""
+    steps = np.diff(np.sort(np.round(eigenvalues / tol) * tol))
+    return float(steps[steps > 0].min(initial=np.inf))
 
 
 # ---------------------------------------------------------------------------

@@ -424,27 +424,17 @@ def run_stats(
     h = compile_machine(spec, config.boundary)
     values = h.site_values
     V = len(values)
-    code = h.value_code
     lat = h.encode([config.cells])[0]
     n = len(lat)
     periodic = config.boundary == "periodic"
 
-    # integer tables over the site-value codes
+    rw_next, shift_next, other, _ = h.step_table  # the pair maps in codes
     state_of = {k: v[2] for k, v in enumerate(values) if v[0] == "Q"}
-    other = {k: code[("Q", 1 - values[k][1], q)] for k, q in state_of.items()}
-    rw_next = {
-        (code[("Q",) + src], code[cell]): (code[("Q",) + dst], code[cell2])
-        for (src, cell), (dst, cell2) in h.u0_pairs.items()
-    }
-    shift_next = {}
     glides = {}  # glide-starting control -> (direction, cells read by identity)
-    for q, d in h.shift_dirs.items():
-        c_rw = code[("Q", h.rw_mode, q)]
-        step_dir = 1 if d == PLUS else -1
-        shift_next[other[c_rw]] = (c_rw, step_dir)
-        row = np.array([rw_next.get((c_rw, v)) == (other[c_rw], v) for v in range(V)])
+    for c_sh, (c_rw, step_dir) in shift_next.items():
+        row = np.array([rw_next.get((c_rw, v)) == (c_sh, v) for v in range(V)])
         if row.any():
-            glides[c_rw if step_dir > 0 else other[c_rw]] = (step_dir, row)
+            glides[c_rw if step_dir > 0 else c_sh] = (step_dir, row)
 
     # the orbit is a cycle exactly when it reaches the start's predecessor
     prev = apply_update_dagger(h, config)

@@ -30,8 +30,8 @@ import numpy as np
 
 from .dynamics import (
     basis_state,
+    batch_site_data,
     member_orbit_terms,
-    orbit_site_data,
     trace_distance,
 )
 from .encoding import InitialEnsemble
@@ -250,20 +250,21 @@ class _EnsembleGridAverager:
 
     def __init__(self, h: LocalHamiltonian, ensemble: InitialEnsemble):
         self.h = h
-        self.members = []
+        orbits, weights = [], []
         self.member_blocks = []  # per ensemble member: list of orbits
         for cfg, w in ensemble.members:
-            terms = member_orbit_terms(h, cfg, ORBIT_BUDGET)
             block_orbits = []
-            for orbit, scale in terms:
+            for orbit, scale in member_orbit_terms(h, cfg, ORBIT_BUDGET):
                 if orbit.kind == "truncated":
                     raise TruncatedOrbit(
                         "orbit budget exhausted while preparing instance"
                     )
-                data = orbit_site_data(orbit, h)
-                self.members.append((orbit, data, float(w) * scale))
+                orbits.append(orbit)
+                weights.append(float(w) * scale)
                 block_orbits.append(orbit)
             self.member_blocks.append(block_orbits)
+        # one one-site scan over all member orbits of each lattice width
+        self.members = list(zip(orbits, batch_site_data(orbits, h), weights))
         occupied = np.zeros(h.site_dim, dtype=bool)
         occupied[h.value_index(a_cell("a1"))] = True
         for _, data, _ in self.members:
@@ -319,6 +320,19 @@ class _EnsembleGridAverager:
         return worst
 
 
+def _unique_inverse(keys: np.ndarray):
+    """Sorted distinct keys and each key's position among them, as
+    ``np.unique(keys, return_inverse=True)`` gives, without its imports."""
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    new = np.empty(len(keys), dtype=bool)
+    new[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
+    inverse = np.empty(len(keys), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return ranked[new], inverse
+
+
 def _fold_shape(group, values: np.ndarray):
     """Fold (orbit, data, weight) members of one orbit shape into
     (spectrum, histogram, step pairs, value pairs, kernel) over the site
@@ -337,9 +351,9 @@ def _fold_shape(group, values: np.ndarray):
     scale = np.concatenate(
         [np.full(len(data.cross), w / data.n_sites) for _, data, w in group]
     )
-    steps, row = np.unique(cross[:, 0] * J + cross[:, 1], return_inverse=True)
+    steps, row = _unique_inverse(cross[:, 0] * J + cross[:, 1])
     at = np.searchsorted(values, cross[:, 2:])
-    pairs, col = np.unique(at[:, 0] * s + at[:, 1], return_inverse=True)
+    pairs, col = _unique_inverse(at[:, 0] * s + at[:, 1])
     kernel = np.zeros((len(steps), len(pairs)))
     np.add.at(kernel, (row, col), scale)
     return orbit_spectrum(orbit), hist, divmod(steps, J), divmod(pairs, s), kernel

@@ -8,13 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamca.dynamics import (
+    batch_site_data,
     check_state,
+    coded_orbit,
     dense_cross_term,
     dense_space,
     dephasing_cross_term,
     ensemble_site_average,
     evolve_spectral,
     longterm_site_average,
+    member_orbit_terms,
     orbit_site_average,
     orbit_site_data,
     overlap_kernel,
@@ -37,7 +40,7 @@ from hamca.encoding import (
     scattered_m_sites,
 )
 from hamca.hamiltonian import compile_machine, reachable_space
-from hamca.machine import Configuration, a_cell, control
+from hamca.machine import Configuration, a_cell, control, is_control, run_orbit
 from hamca.staged import FIXTURES, VARIANTS, build_staged_machine
 
 
@@ -214,7 +217,11 @@ def _all_pairs_site_data(orbit, h):
     """Reference histogram and cross rows: every step compared with every
     other over all sites, rows in (j, j') order."""
     idx = {v: i for i, v in enumerate(h.site_values)}
-    arr = np.array([[idx[x] for x in c.cells] for c in orbit.states])
+    return _all_pairs_from_codes(np.array([[idx[x] for x in c.cells] for c in orbit.states]), h)
+
+
+def _all_pairs_from_codes(arr, h):
+    arr = arr.astype(np.int64)
     hist = np.array([np.bincount(row, minlength=h.site_dim) for row in arr])
     rows = [np.zeros((0, 4), dtype=np.int64)]
     for j in range(len(arr)):
@@ -252,6 +259,101 @@ def test_orbit_site_data_random_configurations_match_all_pairs(single_control_ri
     spec, cfg = data.draw(single_control_rings)
     h = compile_machine(spec, cfg.boundary)
     _assert_site_data_matches_all_pairs(run_orbit_cached(cfg, h, 10_000), h)
+
+
+def _assert_coded_orbit_matches_reference(spec, h, cfg, max_steps=10_000):
+    """coded_orbit gives the reference route's rows, terminal and dtype."""
+    ref = run_orbit(spec, cfg, max_steps)
+    got = coded_orbit(h, cfg, max_steps)
+    assert got.terminal == ref.terminal
+    assert (got.length, got.kind) == (ref.length, ref.kind)
+    assert got.rows.dtype == np.min_scalar_type(h.site_dim - 1)
+    assert np.array_equal(got.rows, h.encode([c.cells for c in ref.states]))
+    return got
+
+
+@FIXTURE_TABLE
+def test_coded_orbit_fixture_table_matches_reference(inner, variant, decode, boundary):
+    for spec, h, cfg in _fixture_configs(inner, variant, decode, boundary):
+        assert _assert_coded_orbit_matches_reference(spec, h, cfg).kind == "dead_end"
+
+
+def test_coded_orbit_shuttle_cycles_and_budgets(shuttle, twoway_nd):
+    """Shuttle rings close into cycles and stop at the open end; every budget
+    around the orbit length truncates exactly where machine.run_orbit does."""
+    a1, a2, glide = a_cell("a1"), a_cell("a2"), control(0, "glide")
+    for boundary, kind in (("periodic", "cycle"), ("open", "dead_end")):
+        h = compile_machine(shuttle, boundary)
+        for cells in ((a1,), (a1, a2, a1), (a2, a1, a1, a1)):
+            cfg = Configuration((glide,) + cells, boundary)
+            assert _assert_coded_orbit_matches_reference(shuttle, h, cfg).kind == kind
+    h = compile_machine(shuttle)
+    cfg = Configuration((glide, a1, a2, a1))
+    J = coded_orbit(h, cfg, 1000).length
+    for budget in (0, 1, J - 2, J - 1, J):
+        _assert_coded_orbit_matches_reference(shuttle, h, cfg, budget)
+    h = compile_machine(twoway_nd)
+    cfg = anchored_configuration(twoway_nd, 6)
+    J = coded_orbit(h, cfg, 1000).length
+    kinds = [_assert_coded_orbit_matches_reference(twoway_nd, h, cfg, budget).kind
+             for budget in (0, 5, J - 2, J - 1, J)]
+    assert kinds == ["truncated"] * 4 + ["dead_end"]
+
+
+def test_coded_orbit_one_site_ring(shuttle, oneway):
+    """A lone control: it reads itself, or would swap with itself, so every
+    state and mode is a dead end after one row, on either boundary."""
+    for spec in (shuttle, oneway):
+        for boundary in ("periodic", "open"):
+            h = compile_machine(spec, boundary)
+            for q in spec.control.states:
+                for mode in (0, 1):
+                    cfg = Configuration((control(mode, q),), boundary)
+                    got = _assert_coded_orbit_matches_reference(spec, h, cfg)
+                    assert got.terminal == ("dead_end", 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_coded_orbit_random_configurations_match_reference(single_control_rings, data):
+    spec, cfg = data.draw(single_control_rings)
+    _assert_coded_orbit_matches_reference(spec, compile_machine(spec, cfg.boundary), cfg)
+
+
+def _assert_batch_matches_per_orbit(orbits, h):
+    """The one scan over all orbits equals orbit_site_data orbit by orbit, and
+    the all-pairs reference, in value, dtype and order."""
+    batch = batch_site_data(orbits, h)
+    assert len(batch) == len(orbits)
+    for orbit, got in zip(orbits, batch):
+        one = orbit_site_data(orbit, h)
+        hist, cross = _all_pairs_from_codes(orbit.rows, h)
+        assert (got.J, got.n_sites) == (one.J, one.n_sites) == orbit.rows.shape
+        for a, b in ((got.hist, one.hist), (got.cross, one.cross), (got.hist, hist),
+                     (got.cross, cross)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_batch_site_data_anchored_ensemble(oneway):
+    h = compile_machine(oneway)
+    params = EnsembleParams("anchored", L=4, alpha=Fraction(1, 4))
+    ens = build_initial_ensemble(oneway, params, encode_input("1", Fraction(1, 4)))
+    orbits = [orbit for cfg, _ in ens.members for orbit, _ in member_orbit_terms(h, cfg, 10_000)]
+    assert len(orbits) == len(ens.members) > 20
+    assert sum(len(d.cross) for d in batch_site_data(orbits, h)) > 0
+    _assert_batch_matches_per_orbit(orbits, h)
+
+
+def test_batch_site_data_iid_blocks(iid_nd):
+    """Blocks of widths 1..5 in one call, control-free parts among them."""
+    params = EnsembleParams("iid", L=5, alpha=Fraction(0), l=2, boundary="open")
+    ens = build_initial_ensemble(iid_nd, params, encode_input("1", Fraction(0)))
+    h = compile_machine(iid_nd, "open")
+    orbits = [orbit for cfg, _ in ens.members for orbit, _ in member_orbit_terms(h, cfg, 10_000)]
+    assert {orbit.rows.shape[1] for orbit in orbits} == {1, 2, 3, 4, 5, 6}
+    free = [o for o in orbits if not any(is_control(h.site_values[v]) for v in o.rows[0])]
+    assert free and all(o.terminal == ("dead_end", 1) for o in free)
+    _assert_batch_matches_per_orbit(orbits, h)
 
 
 def _path_kernel(J):

@@ -23,6 +23,7 @@ from hamca.hamiltonian import (
     min_distinct_gap,
     orbit_spectrum,
     reachable_space,
+    OrbitSpectrum,
     TruncatedOrbit,
 )
 from hamca.machine import (
@@ -37,6 +38,7 @@ from hamca.machine import (
     SymbolSet,
     a_cell,
     control,
+    is_control,
     run_orbit,
     split_blocks,
     step,
@@ -227,6 +229,56 @@ def test_spectrum_matches_dense_matrices():
 def test_eigenvector_first_row_normalized():
     spec = orbit_spectrum(Orbit(tuple([None] * 40), ("dead_end", 40)))
     assert abs((spec.vectors[0] ** 2).sum() - 1.0) < 1e-12
+
+
+def test_spectrum_vectors_built_on_first_use():
+    """The eigenvalues come without the J x J matrix; the vectors, once
+    asked for, are orthonormal eigenvectors of the path and the cycle."""
+    for kind, J in (("dead_end", 9), ("cycle", 8)):
+        spec = OrbitSpectrum.of(kind, J)
+        assert min_distinct_gap(spec.eigenvalues) > 0
+        assert "vectors" not in vars(spec)
+        hop = np.diag(np.ones(J - 1), 1)
+        if kind == "cycle":
+            hop[-1, 0] = 1
+        vecs = spec.vectors
+        assert spec.vectors is vecs
+        assert np.abs((hop + hop.T) @ vecs - vecs * spec.eigenvalues).max() < 1e-12
+        assert np.abs(vecs.conj().T @ vecs - np.eye(J)).max() < 1e-12
+
+
+def test_min_distinct_gap_matches_unique_route():
+    """Positive differences of the sorted rounded values: the same number as
+    the gaps between np.unique's distinct values, repeats included."""
+    rng = np.random.default_rng(3)
+    cases = [np.array([1.0]), np.array([0.5, 0.5]), np.array([2.0, -1.0, 2.0 + 4e-10, 0.0])]
+    cases += [rng.integers(0, 9, 30) * 0.25 + rng.normal(0, 1e-11, 30) for _ in range(20)]
+    cases += [OrbitSpectrum.of(kind, J).eigenvalues for kind in ("dead_end", "cycle")
+              for J in (1, 2, 7, 40)]
+    for lam in cases:
+        distinct = np.unique(np.round(lam / 1e-9) * 1e-9)
+        assert min_distinct_gap(lam) == float(np.diff(distinct).min(initial=np.inf))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_step_table_decodes_to_the_pair_maps(variant):
+    """The integer table is the pair maps in site-value codes, built once."""
+    h = compile_machine(build_staged_machine("ping_pong", variant))
+    table = h.step_table
+    assert h.step_table is table
+    vals = h.site_values
+    rw = {((vals[c][1], vals[c][2]), vals[x]): ((vals[c2][1], vals[c2][2]), vals[x2])
+          for (c, x), (c2, x2) in table.rw_next.items()}
+    assert rw == h.u0_pairs
+    shifts = {}
+    for c, (c2, d) in table.shift_next.items():
+        assert vals[c][1] != h.rw_mode and vals[c2] == ("Q", h.rw_mode, vals[c][2])
+        shifts[vals[c][2]] = PLUS if d == 1 else MINUS
+    assert shifts == h.shift_dirs
+    assert table.is_control.tolist() == [is_control(v) for v in vals]
+    for c, c2 in table.other.items():
+        assert vals[c2] == ("Q", 1 - vals[c][1], vals[c][2])
+    assert len(table.other) == sum(map(is_control, vals))
 
 
 def test_gap_bound_sweep():

@@ -1,9 +1,12 @@
 """Decision machinery: grids, threshold checks, truncation, reductions."""
 
 import json
+import os
+import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -462,10 +465,45 @@ def test_decide_steps_each_member_once(tmp_path, monkeypatch):
     }))
     calls = {}
     _count_calls(monkeypatch, "hamca.hamiltonian", "compile_machine", calls)
-    _count_calls(monkeypatch, "hamca.dynamics", "run_orbit_cached", calls)
+    _count_calls(monkeypatch, "hamca.dynamics", "coded_orbit", calls)
     assert main(["decide", str(path), "--out", str(tmp_path / "v.json")]) == 0
-    assert calls == {"compile_machine": 1, "run_orbit_cached": 243}
+    assert calls == {"compile_machine": 1, "coded_orbit": 243}
     assert json.loads((tmp_path / "v.json").read_text())["verdict"] == "yes"
+
+
+def test_unique_inverse_matches_numpy_unique():
+    rng = np.random.default_rng(5)
+    for keys in [np.array([], dtype=np.int64), np.array([7]), rng.integers(0, 40, 300),
+                 rng.integers(0, 3, 50) * 1000 + 17]:
+        got = verifier._unique_inverse(keys)
+        want = np.unique(keys, return_inverse=True)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_decide_imports_no_numpy_ma(tmp_path):
+    """A decide run loads no numpy.ma that numpy had not loaded already
+    (np.unique imports it on first use, a cost inside every run)."""
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({
+        "inner": "halt_now", "variant": "iid-repeat-amp", "decode": False,
+        "mode": "iid", "L": 4, "alpha": [0, 1], "l": 2, "v": "1", "eta": 0.846,
+        "eps1": 0.35, "t0_override": 40, "gap_floor_from_fixture": True,
+    }))
+    script = (
+        "import sys, numpy\n"
+        "before = set(sys.modules)\n"
+        "from hamca.cli import main\n"
+        "assert main(['decide', sys.argv[1], '--override-params', '--out', sys.argv[2]]) == 0\n"
+        "print(sorted(m for m in set(sys.modules) - before if m.split('.')[:2] == ['numpy', 'ma']))\n"
+    )
+    src = str(Path(verifier.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = tmp_path / "v.json"
+    run = subprocess.run([sys.executable, "-c", script, str(path), str(out)],
+                         capture_output=True, text=True, env=env, check=True)
+    assert run.stdout.strip() == "[]"
+    assert json.loads(out.read_text())["verdict"] in ("yes", "no")
 
 
 def test_semi_decide_dovetails_lattice_sizes():
