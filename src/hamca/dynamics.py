@@ -385,15 +385,21 @@ def member_orbit_terms(h: LocalHamiltonian, cfg: Configuration, max_steps: int):
     start of its block: on the whole lattice that shift enters the
     neighbouring block, so the blocks interact.
     """
-    blocks = split_blocks(cfg) if len(cfg.control_sites()) > 1 else [cfg]
+    sites = cfg.control_sites()
+    if len(sites) > 1:
+        blocks = split_blocks(cfg, sites)
+        # every block starts at its control; only an open lattice's head has none
+        parts = [(b, 0 if is_control(b.cells[0]) else None) for b in blocks]
+    else:
+        parts = [(cfg, sites[0] if sites else None)]
     out = []
-    for block in blocks:
-        if not block.control_sites():
+    for block, site in parts:
+        if site is None:
             # no control: the update never acts, the part is frozen
             frozen = CodedOrbit(h.encode([block.cells], _row_dtype(h)), ("dead_end", 1))
             out.append((frozen, block.size / cfg.size))
             continue
-        orbit = coded_orbit(h, block, max_steps)
+        orbit = coded_orbit(h, block, max_steps, site)
         head = h.site_values[orbit.rows[-1, 0]]
         if (
             block is not cfg
@@ -445,16 +451,19 @@ class CodedOrbit:
         return self.terminal[0]
 
 
-def coded_orbit(h: LocalHamiltonian, cfg: Configuration, max_steps: int) -> CodedOrbit:
+def coded_orbit(
+    h: LocalHamiltonian, cfg: Configuration, max_steps: int, control: int = None
+) -> CodedOrbit:
     """Forward orbit of a single-control configuration, stepped as a list of
     site-value codes through ``h.step_table``, under the configuration's own
     boundary.  It ends as ``machine.orbit_of`` does: at a dead end, in a cycle
     on return to the start row (by injectivity no other row recurs), or
-    truncated after ``max_steps`` steps."""
+    truncated after ``max_steps`` steps.  ``control`` is the configuration's
+    one control site, when the caller has already found it."""
     rw_next, shift_next, _, _ = h.step_table
     values, rw_mode = h.site_values, h.rw_mode
     periodic = cfg.boundary == "periodic"
-    i = i0 = cfg.single_control()
+    i = i0 = cfg.single_control() if control is None else control
     row = h.encode([cfg.cells])[0].tolist()
     start, c0, n = row[:], row[i], len(row)
     flat = row[:]

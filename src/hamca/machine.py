@@ -613,16 +613,18 @@ def stats_average(stats: RunStats, track2_symbol: str, n_sites: int) -> Fraction
 # ---------------------------------------------------------------------------
 
 
-def split_blocks(config: Configuration) -> list:
+def split_blocks(config: Configuration, sites: list = None) -> list:
     """Split a multi-control configuration into per-block configurations.
 
     A dynamical block is a control site together with the run of cells to its
     right, up to the next control site; on an open lattice the last block
     stops at the lattice end, and the cells left of the first control come
     first as a control-free part.  Each part is returned as an open
-    configuration, since its machine can never leave it.
+    configuration, since its machine can never leave it.  ``sites`` are the
+    configuration's control sites, when the caller has already found them.
     """
-    sites = config.control_sites()
+    if sites is None:
+        sites = config.control_sites()
     if not sites:
         raise MalformedConfiguration("no control site")
     first = sites[0]

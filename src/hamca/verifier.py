@@ -8,7 +8,8 @@ eps1 + (5/4)(eta - eps1); the bound chain guarantees soundness, so firing
 certifies the escape, and on escaping instances some grid eventually fires.
 
 One grid scan, ``_grid_fires``, serves the finite and the semi-decision; it
-makes one ``states_at`` call and one batched check per ``GRID_CHUNK`` points.
+makes one ``states_at`` call and one batched check per chunk of grid points,
+sized so that a (chunk, s, s) stack holds ``GRID_CELLS`` entries.
 Each member orbit is stepped once, by the instance's ``averager``.  The scan
 works in the basis of the s site values the ensemble occupies (plus a1), on
 (chunk, s, s) stacks: every entry of the d x d site state outside that block
@@ -53,9 +54,15 @@ NORM_H_BOUND = 2.0
 # 2^(4L+3), so a few more sites turn seconds into hours.
 MAX_GRID_POINTS = 1 << 20
 
-# Grid points per states_at call; the (chunk, s, s) stacks over the s occupied
-# site values set peak memory.
-GRID_CHUNK = 128
+# Entries of the (chunk, s, s) stack of one states_at call over the s occupied
+# site values: a chunk holds max(1, GRID_CELLS // s^2) grid points, so peak
+# memory does not grow with s.
+GRID_CELLS = 1 << 14
+
+# Absolute margin by which the trace-norm bounds of check_condition must clear
+# the threshold before they decide a point without an eigensolver; it covers
+# the rounding of the bounds and of eigvalsh many times over.
+SCREEN_MARGIN = 1e-9
 
 # Steps a member orbit may take before the instance is refused.
 ORBIT_BUDGET = 200000
@@ -139,8 +146,35 @@ def rounding_precision(eta, eps1, d: int) -> int:
 
 
 def round_state(rho: np.ndarray, places: int) -> np.ndarray:
+    """Real and imaginary parts rounded to ``places`` binary places.
+
+    It rounds the interleaved float view through one temporary, so that a
+    grid chunk of ``GRID_CELLS`` entries stays in cache.  Scaling by a power
+    of two is exact, so the values are those of rounding each part on its
+    own; only the signs of zeros may differ, and the running sums of
+    ``_grid_fires``, which start from +0, never carry a -0.
+    """
     scale = 2.0**places
-    return (np.round(rho.real * scale) + 1j * np.round(rho.imag * scale)) / scale
+    parts = np.ascontiguousarray(rho, dtype=complex).view(np.float64) * scale
+    np.round(parts, out=parts)
+    parts /= scale
+    return parts.view(complex)
+
+
+def _trace_norm_bounds(a: np.ndarray):
+    """Lower and upper bounds on the trace norm of each Hermitian s x s
+    matrix of a (..., s, s) stack, without an eigensolver.
+
+    Lower: the pinching inequality, ||A||_1 >= sum_i |A_ii|.  Upper: the
+    triangle inequality over matrix units, ||A||_1 <= sum_ij |A_ij|, and
+    Cauchy-Schwarz over the at most s singular values,
+    ||A||_1 <= sqrt(s) ||A||_F (Bhatia, Matrix Analysis, 1997, ch. IV).
+    """
+    mag = np.abs(a)
+    lower = np.abs(a.real.diagonal(axis1=-2, axis2=-1)).sum(axis=-1)
+    frobenius = np.sqrt((mag * mag).sum(axis=(-2, -1)))
+    upper = np.minimum(mag.sum(axis=(-2, -1)), math.sqrt(a.shape[-1]) * frobenius)
+    return lower, upper
 
 
 def check_condition(
@@ -152,6 +186,17 @@ def check_condition(
     A (T, d, d) stack is answered state by state.  When ``places`` is given,
     the input must already be on the binary-fraction grid of that precision
     (the rounding step of the bound chain).
+
+    The flags are those of ``trace_distance(avg, e1) > threshold``, but the
+    eigensolver runs only where ``_trace_norm_bounds`` of A = avg - e1 cannot
+    place the distance: the pinching lower bound sum_i |A_ii| and the upper
+    bound min(sum_ij |A_ij|, sqrt(s) ||A||_F).  A point whose lower bound
+    exceeds the threshold by more than ``SCREEN_MARGIN`` (1e-9) fires, and
+    one whose upper bound falls short of it by more than that margin does
+    not.  The bounds and eigvalsh each agree with the exact trace norm far
+    inside that margin on state-sized matrices (rounding of order 1e-15), so
+    every screened flag equals the eigvalsh flag; points within the margin
+    go to ``trace_distance``.
     """
     if places is not None:
         scale = 2.0**places
@@ -164,7 +209,15 @@ def check_condition(
                 f"state entries are not {places}-place binary fractions"
             )
     threshold = float(eps1) + 1.25 * (float(eta) - float(eps1))
-    return trace_distance(avg_rho_ap, e1_state) > threshold
+    shape = avg_rho_ap.shape
+    stack = avg_rho_ap.reshape(-1, *shape[-2:])
+    lower, upper = _trace_norm_bounds(stack - e1_state)
+    fires = lower > threshold
+    undecided = (lower <= threshold + SCREEN_MARGIN) & (upper >= threshold - SCREEN_MARGIN)
+    if undecided.any():
+        fires[undecided] = trace_distance(stack[undecided], e1_state) > threshold
+    fires = fires.reshape(shape[:-2])
+    return fires if fires.ndim else bool(fires)
 
 
 # ---------------------------------------------------------------------------
@@ -368,17 +421,18 @@ def _grid_fires(inst: DecisionInstance, k_max: int):
     # block and its trace norm is that block's
     e1_state = basis_state(avger.h, a_cell("a1"))[np.ix_(avger.values, avger.values)]
     dt = _grid_step(inst.eta, inst.eps1)
+    chunk = max(1, GRID_CELLS // e1_state.size)
     running = np.zeros(e1_state.shape, dtype=complex)
-    for done in range(0, k_max, GRID_CHUNK):
-        ks = np.arange(done + 1, min(done + GRID_CHUNK, k_max) + 1)
-        rounded = round_state(avger.states_at(dt * ks), places)
-        # carrying into the first row keeps the point-by-point summation order
-        rounded[0] += running
-        sums = np.cumsum(rounded, axis=0)
-        running = sums[-1]
-        yield from check_condition(
-            sums / ks[:, None, None], inst.eta, inst.eps1, e1_state
-        ).tolist()
+    for done in range(0, k_max, chunk):
+        ks = np.arange(done + 1, min(done + chunk, k_max) + 1)
+        avg = round_state(avger.states_at(dt * ks), places)
+        # carrying into the first row keeps the point-by-point summation order;
+        # in place, since every fresh stack-sized array costs page faults
+        avg[0] += running
+        np.cumsum(avg, axis=0, out=avg)
+        running = avg[-1].copy()
+        avg /= ks[:, None, None]
+        yield from check_condition(avg, inst.eta, inst.eps1, e1_state).tolist()
 
 
 def decide_finite(instance: DecisionInstance) -> Verdict:

@@ -40,7 +40,14 @@ from hamca.encoding import (
     scattered_m_sites,
 )
 from hamca.hamiltonian import compile_machine, reachable_space
-from hamca.machine import Configuration, a_cell, control, is_control, run_orbit
+from hamca.machine import (
+    Configuration,
+    a_cell,
+    control,
+    is_control,
+    run_orbit,
+    split_blocks,
+)
 from hamca.staged import FIXTURES, VARIANTS, build_staged_machine
 
 
@@ -354,6 +361,66 @@ def test_batch_site_data_iid_blocks(iid_nd):
     free = [o for o in orbits if not any(is_control(h.site_values[v]) for v in o.rows[0])]
     assert free and all(o.terminal == ("dead_end", 1) for o in free)
     _assert_batch_matches_per_orbit(orbits, h)
+
+
+def _reference_orbit_terms(h, cfg, max_steps):
+    """member_orbit_terms with every control site looked up anew: blocks from
+    split_blocks, each block's control from its own scan."""
+    blocks = split_blocks(cfg) if len(cfg.control_sites()) > 1 else [cfg]
+    out = []
+    for block in blocks:
+        if block.control_sites():
+            out.append((coded_orbit(h, block, max_steps), block.size / cfg.size))
+        else:
+            out.append((None, block.size / cfg.size))
+    return out
+
+
+def _assert_member_terms_match_reference(h, configs, monkeypatch):
+    """Equal rows, terminals and weights, and one control scan per member."""
+    scans = {"n": 0}
+    orig = Configuration.control_sites
+
+    def counted(cfg):
+        scans["n"] += 1
+        return orig(cfg)
+
+    for cfg in configs:
+        want = _reference_orbit_terms(h, cfg, 10_000)
+        with monkeypatch.context() as mp:
+            mp.setattr(Configuration, "control_sites", counted)
+            scans["n"] = 0
+            got = member_orbit_terms(h, cfg, 10_000)
+            assert scans["n"] == 1
+        assert [w for _, w in got] == [w for _, w in want]
+        for (orbit, _), (ref, _) in zip(got, want):
+            if ref is None:  # frozen part: its one row, a dead end of length one
+                assert orbit.terminal == ("dead_end", 1)
+                assert not any(is_control(h.site_values[v]) for v in orbit.rows[0])
+            else:
+                assert orbit.terminal == ref.terminal
+                assert orbit.rows.dtype == ref.rows.dtype
+                assert np.array_equal(orbit.rows, ref.rows)
+
+
+@FIXTURE_TABLE
+def test_member_orbit_terms_fixture_table(inner, variant, decode, boundary, monkeypatch):
+    rows = list(_fixture_configs(inner, variant, decode, boundary))
+    _assert_member_terms_match_reference(rows[0][1], [cfg for _, _, cfg in rows], monkeypatch)
+
+
+def test_member_orbit_terms_blocks_and_control_free(iid_nd, monkeypatch):
+    """Multi-control members on both boundaries (with the control-free head of
+    an open lattice), and configurations without any control."""
+    a1, a2 = a_cell("a1"), a_cell("a2")
+    for boundary in ("open", "periodic"):
+        params = EnsembleParams("iid", L=5, alpha=Fraction(0), l=2, boundary=boundary)
+        ens = build_initial_ensemble(iid_nd, params, encode_input("1", Fraction(0)))
+        configs = [cfg for cfg, _ in ens.members]
+        assert any(len(cfg.control_sites()) > 1 for cfg in configs)
+        configs += [Configuration((a1, a2, a1), boundary), Configuration((a2,), boundary)]
+        h = compile_machine(iid_nd, boundary)
+        _assert_member_terms_match_reference(h, configs, monkeypatch)
 
 
 def _path_kernel(J):

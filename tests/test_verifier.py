@@ -11,6 +11,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hamca.verifier as verifier
 from hamca.cli import main
@@ -146,6 +148,86 @@ def test_check_condition_on_a_stack_matches_per_matrix():
     with pytest.raises(PrecisionViolation):
         check_condition(rounded + 1e-5 * (np.arange(41) == 7)[:, None, None],
                         eta, eps1, e1, places=places)
+
+
+@settings(max_examples=120, deadline=None)
+@given(s=st.integers(1, 24), T=st.integers(1, 16), near=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_screened_check_matches_eigvalsh(s, T, near, seed):
+    """On random Hermitian differences A = avg - e1, the screening bounds
+    enclose the eigvalsh trace norm, and the screened flags equal
+    ``trace_distance > threshold`` at every point.  Generic stacks have norms
+    spread over [0, 2 * threshold]; near stacks are scaled to within 1e-12 of
+    the threshold, where every point must reach the eigvalsh fallback."""
+    eta, eps1 = 0.846, 0.35
+    threshold = eps1 + 1.25 * (eta - eps1)
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((T, s, s)) + 1j * rng.standard_normal((T, s, s))
+    a = g + g.conj().swapaxes(-1, -2)
+    norms = np.abs(np.linalg.eigvalsh(a)).sum(axis=-1)
+    if near:
+        target = threshold + rng.uniform(-1e-12, 1e-12, T)
+    else:
+        target = rng.uniform(0, 2 * threshold, T)
+    a *= (target / norms)[:, None, None]
+    e1 = np.zeros((s, s), complex)
+    e1[0, 0] = 1.0
+    avg = e1 + a
+    exact = trace_distance(avg, e1)
+    lower, upper = verifier._trace_norm_bounds(avg - e1)
+    # float rounding of the bounds and of eigvalsh, far inside SCREEN_MARGIN
+    assert np.all(lower <= exact + 1e-12) and np.all(exact <= upper + 1e-12)
+    if near:
+        assert np.abs(exact - threshold).max() < 1e-11
+    reached = []  # stack lengths handed to the eigvalsh fallback
+
+    def counted(x, y):
+        reached.append(len(x))
+        return trace_distance(x, y)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verifier, "trace_distance", counted)
+        flags = check_condition(avg, eta, eps1, e1)
+    assert flags.tolist() == (exact > threshold).tolist()
+    if near:
+        assert reached == [T]
+
+
+def test_screening_decides_the_whole_scan_benchmark_grid(monkeypatch):
+    """On the decide_scan benchmark instance (ping_pong, L = 3, 31,497 grid
+    points, s = 5) the bounds decide every point: eigvalsh never runs."""
+    inst = _instance("ping_pong", "one-way-amp", 3, 0, 0.988, 0.48, 2000)
+    assert len(inst.averager.values) == 5
+    calls = {}
+    _count_calls(monkeypatch, "hamca.dynamics", "trace_distance", calls)
+    verdict = decide_finite(inst)
+    assert verdict.verdict == "no"
+    assert make_grid(inst.eta, inst.eps1, t0=2000).k_max == 31497
+    assert calls == {}
+
+
+def test_round_state_matches_per_part_rounding():
+    """The interleaved-view rounding gives the values of rounding the real
+    and imaginary parts apart, on stacks, single matrices, strided views and
+    entries that round to signed zeros; running sums started from +0, as
+    _grid_fires keeps them, agree bit for bit."""
+    rng = np.random.default_rng(11)
+    g = rng.standard_normal((40, 6, 6)) + 1j * rng.standard_normal((40, 6, 6))
+    places = 9
+    scale = 2.0**places
+
+    def running_sums(rounded):
+        rounded = rounded.copy()
+        rounded[0] += np.zeros(rounded.shape[1:], dtype=complex)
+        return np.cumsum(rounded, axis=0).view(np.int64)
+
+    for rho in (g, 1e-3 * g, -1e-4 * g, g[3], g[:, ::2, 1::2], g.real):
+        want = (np.round(rho.real * scale) + 1j * np.round(rho.imag * scale)) / scale
+        got = round_state(rho, places)
+        assert got.dtype == complex and got.shape == rho.shape
+        assert np.array_equal(got, want)
+        if rho.ndim == 3:
+            assert np.array_equal(running_sums(got), running_sums(want))
 
 
 def test_round_state_precision():
@@ -346,11 +428,24 @@ def _per_point_fires(inst, k_max):
     ("halt_now", "two-way-amp", 4, 0.846, 0.35, True),
     ("ping_pong", "one-way-amp", 3, 0.988, 0.48, False),
 ])
-def test_grid_fires_matches_per_point_scan(inner, variant, L, eta, eps1, fires):
+def test_grid_fires_matches_per_point_scan(inner, variant, L, eta, eps1, fires, monkeypatch):
     """The chunked scan flags exactly the grid sizes the per-point loop does,
-    across chunk boundaries."""
+    across chunk boundaries: the cell budget is cut to 97-point chunks, so
+    300 points cross three of them."""
     inst = _instance(inner, variant, L, 0, eta, eps1, 100)
+    avger = inst.averager
+    s = len(avger.values)
+    monkeypatch.setattr(verifier, "GRID_CELLS", 97 * s * s)
+    chunks = []
+    states_at = avger.states_at
+
+    def recording(ts):
+        chunks.append(len(ts))
+        return states_at(ts)
+
+    monkeypatch.setattr(avger, "states_at", recording)
     got = list(_grid_fires(inst, 300))
+    assert chunks == [97, 97, 97, 9]
     want = _per_point_fires(inst, 300)
     assert got == want
     assert {type(f) for f in got} == {bool}
@@ -382,17 +477,34 @@ def _dense_scan(inst, k_max, chunk=2048):
 
 
 def _compact_scan(inst, k_max):
-    """The flags of _grid_fires and the distances its checks measured."""
-    dists = []
+    """The flags of _grid_fires, the grid sizes whose checks reached
+    trace_distance, and the distances measured there.  Every check's screened
+    flags are also compared with unscreened eigvalsh flags at every point."""
+    threshold = float(inst.eps1) + 1.25 * (float(inst.eta) - float(inst.eps1))
+    chunk = {}
+    sizes, dists = [], []
+
+    def checking(avg, eta, eps1, e1, places=None):
+        chunk["done"] = chunk.get("done", 0) + len(chunk.get("avg", ()))
+        chunk["avg"] = avg
+        flags = check_condition(avg, eta, eps1, e1, places)
+        assert flags.tolist() == (trace_distance(avg, e1) > threshold).tolist()
+        return flags
 
     def recording(a, b):
+        # the rows of the chunk handed on are the undecided points, in order
+        avg = chunk["avg"]
+        hit = (avg[:, None] == a[None]).all(axis=(2, 3)).any(axis=1)
+        assert np.array_equal(avg[hit], a)
+        sizes.append(chunk["done"] + 1 + np.flatnonzero(hit))
         dists.append(trace_distance(a, b))
         return dists[-1]
 
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verifier, "check_condition", checking)
         mp.setattr(verifier, "trace_distance", recording)
         flags = list(_grid_fires(inst, k_max))
-    return flags, np.concatenate(dists)
+    return flags, np.concatenate(sizes or [[]]).astype(int), np.concatenate(dists or [[]])
 
 
 def _no_a1_instance(shuttle):
@@ -408,11 +520,12 @@ def _no_a1_instance(shuttle):
 
 def test_compact_scan_matches_dense_reference(shuttle, iid_nd):
     """The scan over the occupied site values flags exactly the grid sizes a
-    d x d scan of the per-member orbit_site_average sum does, at distances
-    within 1e-12, on the A11 instances, the decide benchmark instances, a
-    block (iid) ensemble and an ensemble that never holds a1.  Every grid
-    size is compared up to k: the whole grid where k is None, and past every
-    fired_at elsewhere."""
+    d x d scan of the per-member orbit_site_average sum does, on the A11
+    instances, the decide benchmark instances, a block (iid) ensemble and an
+    ensemble that never holds a1.  Where the screened check measures a
+    distance with eigvalsh, it is within 1e-12 of the d x d one at that grid
+    size.  Every grid size is compared up to k: the whole grid where k is
+    None, and past every fired_at elsewhere."""
     a11 = [(("halt_now", "one-way-amp", 3, 0, 0.988, 0.48, 200), None),
            (("halt_now", "one-way-amp", 4, 0, 0.846, 0.35, 200), None),
            (("halt_now", "one-way-amp", 5, 0, 0.74, 0.30, 200), None),
@@ -430,15 +543,18 @@ def test_compact_scan_matches_dense_reference(shuttle, iid_nd):
     cases.append((no_a1, None))
     a1 = no_a1.averager.h.value_index(a_cell("a1"))
     assert not any(data.hist[:, a1].any() for _, data, _ in no_a1.averager.members)
+    compared = 0
     for inst, k in cases:
         avger = inst.averager
         assert a_cell("a1") in [avger.h.site_values[v] for v in avger.values]
         k_max = make_grid(inst.eta, inst.eps1, t0=inst.t0_override).k_max
         k = min(k_max, k or k_max)
-        flags, dists = _compact_scan(inst, k)
+        flags, sizes, dists = _compact_scan(inst, k)
         want_flags, want_dists = _dense_scan(inst, k)
         assert flags == want_flags
-        assert np.abs(dists - want_dists).max() <= 1e-12
+        assert np.abs(dists - want_dists[sizes - 1]).max(initial=0.0) <= 1e-12
+        compared += len(sizes)
+    assert compared > 0
 
 
 def _count_calls(monkeypatch, modname, name, counter):
