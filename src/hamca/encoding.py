@@ -15,6 +15,7 @@ inside a classical reversible machine.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -203,17 +204,22 @@ def build_initial_ensemble(
     }
     if len(support) ** repeated > ENUMERATION_LIMIT:
         return InitialEnsemble(params, encoding, [], support, e0, meta)
+    # a member's weight is the product of its sites' weights, multiplied as
+    # integer numerators and denominators and reduced once
+    values, weights = zip(*support)
+    nums = [Fraction(w).numerator for w in weights]
+    dens = [Fraction(w).denominator for w in weights]
+    head = (e0,) if params.mode == "anchored" else ()
     members = []
-    for combo in itertools.product(support, repeat=repeated):
-        w = Fraction(1)
-        for _, wi in combo:
-            w *= wi
-        if w == 0:
-            continue
-        cells = tuple(v for v, _ in combo)
-        if params.mode == "anchored":
-            cells = (e0,) + cells
-        members.append((Configuration(cells, params.boundary), w))
+    for cells, ns, ds in zip(
+        itertools.product(values, repeat=repeated),
+        itertools.product(nums, repeat=repeated),
+        itertools.product(dens, repeat=repeated),
+    ):
+        num = math.prod(ns)
+        if num:
+            w = Fraction(num, math.prod(ds))
+            members.append((Configuration(head + cells, params.boundary), w))
     return InitialEnsemble(params, encoding, members, support, e0, meta)
 
 

@@ -306,9 +306,18 @@ class OrbitSpectrum:
         j = np.arange(J)[:, None]
         return np.exp(2j * np.pi * k[None, :] * j / J) / np.sqrt(J)
 
-    def amplitudes(self, ts) -> np.ndarray:
-        """<j| exp(-i t H) |1> for every t in ``ts`` and j = 1..J, shape (T, J)."""
-        phases = np.exp(-1j * np.outer(ts, self.eigenvalues)) * np.conj(self.vectors[0])
+    def phases(self, ts) -> np.ndarray:
+        """Rows e^{-i t lambda_k} conj(<1|v_k>) for every t in ``ts``, shape
+        (T, J): the amplitudes are these rows through the eigenvectors."""
+        return np.exp(-1j * np.outer(ts, self.eigenvalues)) * np.conj(self.vectors[0])
+
+    def amplitudes(self, ts, phases=None) -> np.ndarray:
+        """<j| exp(-i t H) |1> for every t in ``ts`` and j = 1..J, shape (T, J).
+
+        ``phases`` are the rows ``phases(ts)``, for a caller that holds them
+        already (the decide scan builds them from tables of its grid)."""
+        if phases is None:
+            phases = self.phases(ts)
         return phases @ self.vectors.T
 
 

@@ -8,13 +8,18 @@ eps1 + (5/4)(eta - eps1); the bound chain guarantees soundness, so firing
 certifies the escape, and on escaping instances some grid eventually fires.
 
 One grid scan, ``_grid_fires``, serves the finite and the semi-decision; it
-makes one ``states_at`` call and one batched check per chunk of grid points,
-sized so that a (chunk, s, s) stack holds ``GRID_CELLS`` entries.
+makes one ``states_at`` call and one batched check per chunk of grid points.
 Each member orbit is stepped once, by the instance's ``averager``.  The scan
-works in the basis of the s site values the ensemble occupies (plus a1), on
-(chunk, s, s) stacks: every entry of the d x d site state outside that block
-is exactly 0, and the all-a1 state lies inside it, so the distances are the
-d x d ones.
+works in the basis of the s site values the ensemble occupies (plus a1):
+every entry of the d x d site state outside that block is exactly 0, and the
+all-a1 state lies inside it, so the distances are the d x d ones.  Within
+the block it keeps only the entries the member orbits can reach, as packed
+(chunk, s + P) rows of a ``PackedLayout``: the s diagonal entries and the P
+off-diagonal value pairs of the orbits' cross pairs.  Rounding, the running
+sums and the trace-norm bounds run on those rows; dense s x s matrices are
+rebuilt only for the points the bounds leave to the eigensolver.  The grid is
+arithmetic, so the amplitudes of a chunk come from per-shape phase tables
+(``_PhaseTables``) at J exponentials per shape, not T J.
 
 Every numerical shortcut carries its certified error term; verdicts return
 the full ledger of those terms.
@@ -22,6 +27,7 @@ the full ledger of those terms.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -54,10 +60,12 @@ NORM_H_BOUND = 2.0
 # 2^(4L+3), so a few more sites turn seconds into hours.
 MAX_GRID_POINTS = 1 << 20
 
-# Entries of the (chunk, s, s) stack of one states_at call over the s occupied
-# site values: a chunk holds max(1, GRID_CELLS // s^2) grid points, so peak
-# memory does not grow with s.
-GRID_CELLS = 1 << 14
+# Entries of one grid chunk: a chunk holds max(1, GRID_CELLS // max(s + P,
+# sum J)) grid points, so that neither its packed (chunk, s + P) stack nor the
+# phase tables of the orbit shapes (chunk x J each) exceed GRID_CELLS entries.
+# A complex array of that many entries is 64 KiB; at 2^14 entries the scan
+# ran no faster and its peak RSS rose by 0.6-1.5 MB.
+GRID_CELLS = 1 << 12
 
 # Absolute margin by which the trace-norm bounds of check_condition must clear
 # the threshold before they decide a point without an eigensolver; it covers
@@ -148,11 +156,14 @@ def rounding_precision(eta, eps1, d: int) -> int:
 def round_state(rho: np.ndarray, places: int) -> np.ndarray:
     """Real and imaginary parts rounded to ``places`` binary places.
 
-    It rounds the interleaved float view through one temporary, so that a
-    grid chunk of ``GRID_CELLS`` entries stays in cache.  Scaling by a power
-    of two is exact, so the values are those of rounding each part on its
-    own; only the signs of zeros may differ, and the running sums of
-    ``_grid_fires``, which start from +0, never carry a -0.
+    ``rho`` is any complex array: dense (..., s, s) states, or the packed
+    (chunk, s + P) rows of the decide scan, whose entries are exactly those
+    of the dense states, so both round to the same values.  It rounds the
+    interleaved float view through one temporary.  Scaling by a power of two
+    is exact, so the values are those of rounding each part on its own; only
+    the signs of zeros may differ, and the running sums of ``_grid_fires``,
+    which start from +0, never carry a -0.  An entry that is exactly 0 stays
+    exactly 0.
     """
     scale = 2.0**places
     parts = np.ascontiguousarray(rho, dtype=complex).view(np.float64) * scale
@@ -161,31 +172,82 @@ def round_state(rho: np.ndarray, places: int) -> np.ndarray:
     return parts.view(complex)
 
 
-def _trace_norm_bounds(a: np.ndarray):
-    """Lower and upper bounds on the trace norm of each Hermitian s x s
-    matrix of a (..., s, s) stack, without an eigensolver.
+@dataclass(frozen=True, eq=False)
+class PackedLayout:
+    """Where the entries of an s x s state sit in a packed row of s + P.
 
-    Lower: the pinching inequality, ||A||_1 >= sum_i |A_ii|.  Upper: the
-    triangle inequality over matrix units, ||A||_1 <= sum_ij |A_ij|, and
-    Cauchy-Schwarz over the at most s singular values,
-    ||A||_1 <= sqrt(s) ||A||_F (Bhatia, Matrix Analysis, 1997, ch. IV).
+    Column i < s holds the diagonal entry (i, i) and column s + p the
+    off-diagonal entry (rows[p], cols[p]); every other entry of the state is
+    exactly 0.  ``pack`` and ``unpack`` move entries without arithmetic, so
+    a packed row holds the bits of the dense entries and back.
+    """
+
+    s: int
+    rows: np.ndarray
+    cols: np.ndarray
+
+    @classmethod
+    def full(cls, s: int) -> PackedLayout:
+        """Every entry of an s x s matrix, off-diagonal pairs row by row."""
+        rows, cols = np.nonzero(~np.eye(s, dtype=bool))
+        return cls(s, rows, cols)
+
+    @property
+    def width(self) -> int:
+        return self.s + len(self.rows)
+
+    def pack(self, dense: np.ndarray) -> np.ndarray:
+        """(..., s, s) -> (..., s + P): the diagonal, then the pairs."""
+        diag = dense.diagonal(axis1=-2, axis2=-1)
+        return np.concatenate([diag, dense[..., self.rows, self.cols]], axis=-1)
+
+    def unpack(self, packed: np.ndarray) -> np.ndarray:
+        """(..., s + P) -> (..., s, s), zero off the layout."""
+        s = self.s
+        out = np.zeros((*packed.shape[:-1], s, s), dtype=complex)
+        diag = np.arange(s)
+        out[..., diag, diag] = packed[..., :s]
+        out[..., self.rows, self.cols] = packed[..., s:]
+        return out
+
+
+def _trace_norm_bounds(a: np.ndarray, s: int):
+    """Lower and upper bounds on the trace norm of each Hermitian s x s
+    matrix of a packed (..., s + P) stack, without an eigensolver.
+
+    The first s entries of a row are the diagonal and the others every
+    other entry that may be nonzero, each once.  Lower: the pinching
+    inequality, ||A||_1 >= sum_i |A_ii|.  Upper: the triangle inequality
+    over matrix units, ||A||_1 <= sum_ij |A_ij|, and Cauchy-Schwarz over the
+    at most s singular values, ||A||_1 <= sqrt(s) ||A||_F (Bhatia, Matrix
+    Analysis, 1997, ch. IV).  Rows are summed as products with a vector of
+    ones, since numpy reduces a short last axis row by row.
     """
     mag = np.abs(a)
-    lower = np.abs(a.real.diagonal(axis1=-2, axis2=-1)).sum(axis=-1)
-    frobenius = np.sqrt((mag * mag).sum(axis=(-2, -1)))
-    upper = np.minimum(mag.sum(axis=(-2, -1)), math.sqrt(a.shape[-1]) * frobenius)
+    ones = np.ones(a.shape[-1])
+    lower = np.abs(a[..., :s].real) @ ones[:s]
+    frobenius = np.sqrt((mag * mag) @ ones)
+    upper = np.minimum(mag @ ones, math.sqrt(s) * frobenius)
     return lower, upper
 
 
 def check_condition(
-    avg_rho_ap: np.ndarray, eta, eps1, e1_state: np.ndarray, places: int = None
+    avg_rho_ap: np.ndarray,
+    eta,
+    eps1,
+    e1_state: np.ndarray,
+    places: int = None,
+    layout: PackedLayout = None,
 ):
     """Fire when the grid-averaged rounded state is provably far from the
     all-a1 site state; strict inequality at the threshold.
 
-    A (T, d, d) stack is answered state by state.  When ``places`` is given,
-    the input must already be on the binary-fraction grid of that precision
-    (the rounding step of the bound chain).
+    A (T, d, d) stack is answered state by state.  With a ``layout``, the
+    states and ``e1_state`` come as packed (..., s + P) rows of it instead;
+    dense matrices are packed with ``PackedLayout.full`` and answered by the
+    same check.  When ``places`` is given, the input must already be on the
+    binary-fraction grid of that precision (the rounding step of the bound
+    chain).
 
     The flags are those of ``trace_distance(avg, e1) > threshold``, but the
     eigensolver runs only where ``_trace_norm_bounds`` of A = avg - e1 cannot
@@ -196,8 +258,11 @@ def check_condition(
     not.  The bounds and eigvalsh each agree with the exact trace norm far
     inside that margin on state-sized matrices (rounding of order 1e-15), so
     every screened flag equals the eigvalsh flag; points within the margin
-    go to ``trace_distance``.
+    go to ``trace_distance``, as dense matrices rebuilt by ``unpack``.
     """
+    if layout is None:
+        layout = PackedLayout.full(avg_rho_ap.shape[-1])
+        avg_rho_ap, e1_state = layout.pack(avg_rho_ap), layout.pack(e1_state)
     if places is not None:
         scale = 2.0**places
         offgrid = max(
@@ -210,13 +275,14 @@ def check_condition(
             )
     threshold = float(eps1) + 1.25 * (float(eta) - float(eps1))
     shape = avg_rho_ap.shape
-    stack = avg_rho_ap.reshape(-1, *shape[-2:])
-    lower, upper = _trace_norm_bounds(stack - e1_state)
+    stack = avg_rho_ap.reshape(-1, shape[-1])
+    lower, upper = _trace_norm_bounds(stack - e1_state, layout.s)
     fires = lower > threshold
     undecided = (lower <= threshold + SCREEN_MARGIN) & (upper >= threshold - SCREEN_MARGIN)
     if undecided.any():
-        fires[undecided] = trace_distance(stack[undecided], e1_state) > threshold
-    fires = fires.reshape(shape[:-2])
+        dense = layout.unpack(stack[undecided])
+        fires[undecided] = trace_distance(dense, layout.unpack(e1_state)) > threshold
+    fires = fires.reshape(shape[:-1])
     return fires if fires.ndim else bool(fires)
 
 
@@ -297,8 +363,11 @@ class _EnsembleGridAverager:
     value pairs they occupy; a grid chunk then costs a fixed amount of work
     per shape, not per member.  States are kept in the basis of ``values``,
     the sorted indices of the site values some member's orbit holds, plus
-    a1: no entry outside that block is ever nonzero.  ``shapes`` maps each
-    shape to its fold, whose ``OrbitSpectrum`` also serves ``min_orbit_gap``.
+    a1: no entry outside that block is ever nonzero.  Within it, ``layout``
+    packs the diagonal and the value pairs some member's cross rows occupy
+    (closed under transpose, as the cross rows are ordered pairs); no other
+    entry is ever nonzero either.  ``shapes`` maps each shape to its fold,
+    whose ``OrbitSpectrum`` also serves ``min_orbit_gap``.
     """
 
     def __init__(self, h: LocalHamiltonian, ensemble: InitialEnsemble):
@@ -326,23 +395,39 @@ class _EnsembleGridAverager:
         by_shape = {}
         for orbit, data, w in self.members:
             by_shape.setdefault((orbit.length, orbit.kind), []).append((orbit, data, w))
-        self.shapes = {
-            shape: _fold_shape(group, self.values) for shape, group in by_shape.items()
-        }
-
-    def states_at(self, ts: np.ndarray) -> np.ndarray:
-        """The (T, s, s) stack of space-averaged site states at ``ts`` over
-        the occupied site values ``values``; every other entry of the
-        d x d state is exactly 0."""
+        folds = {shape: _fold_shape(group, self.values) for shape, group in by_shape.items()}
+        # the layout's pairs are those of every shape; each kernel gets a
+        # column per pair, zero where its shape never reaches the pair
         s = len(self.values)
-        out = np.zeros((len(ts), s, s), dtype=complex)
-        diag = np.arange(s)
-        for spectrum, hist, (j0, j1), (v0, v1), kernel in self.shapes.values():
-            amps = spectrum.amplitudes(ts)
-            out[:, diag, diag] += np.abs(amps) ** 2 @ hist
+        keys = [pairs for *_, pairs, _ in folds.values()]
+        pair_keys, _ = _unique_inverse(np.concatenate(keys or [np.zeros(0, np.intp)]))
+        self.layout = PackedLayout(s, *divmod(pair_keys, s))
+        self.shapes = {}
+        for shape, (spectrum, hist, steps, pairs, kernel) in folds.items():
+            wide = np.zeros((len(kernel), len(pair_keys)))
+            wide[:, np.searchsorted(pair_keys, pairs)] = kernel
+            self.shapes[shape] = (spectrum, hist, steps, wide)
+
+    def states_at(self, ts: np.ndarray, phases: dict = None) -> np.ndarray:
+        """The packed (T, s + P) rows, in ``layout``, of the space-averaged
+        site states at ``ts``; every other entry of the d x d state is
+        exactly 0.
+
+        ``phases``, when given, maps each shape to its rows
+        ``OrbitSpectrum.phases(ts)`` (``_PhaseTables.at`` on the decide
+        grid); otherwise they are evaluated here.  Each shape's diagonal and
+        kernel products are added straight into their columns.
+        """
+        s = len(self.values)
+        out = np.zeros((len(ts), self.layout.width), dtype=complex)
+        diag, pairs_re, pairs_im = out.real[:, :s], out.real[:, s:], out.imag[:, s:]
+        for shape, (spectrum, hist, (j0, j1), kernel) in self.shapes.items():
+            amps = spectrum.amplitudes(ts, None if phases is None else phases[shape])
+            diag += np.abs(amps) ** 2 @ hist
             pair_w = amps[:, j0] * np.conj(amps[:, j1])
             # two real products: a complex @ would map extra BLAS pages
-            out[:, v0, v1] += pair_w.real @ kernel + 1j * (pair_w.imag @ kernel)
+            pairs_re += pair_w.real @ kernel
+            pairs_im += pair_w.imag @ kernel
         return out
 
     def min_orbit_gap(self) -> float:
@@ -394,8 +479,8 @@ def _fold_shape(group, values: np.ndarray):
     The (J, s) histogram is sum_m (w_m / n_m) hist_m on the columns of
     ``values``.  The kernel holds, for every step pair (j, j') and value pair
     (v, v') some member's cross rows occupy, the summed w_m / n_m of the
-    members with that row; only occupied pairs get a row or column, and v, v'
-    are positions in ``values``.
+    members with that row; only occupied pairs get a row or column.  Value
+    pairs come as sorted keys v s + v', v and v' positions in ``values``.
     """
     orbit = group[0][0]
     J, s = orbit.length, len(values)
@@ -409,30 +494,60 @@ def _fold_shape(group, values: np.ndarray):
     pairs, col = _unique_inverse(at[:, 0] * s + at[:, 1])
     kernel = np.zeros((len(steps), len(pairs)))
     np.add.at(kernel, (row, col), scale)
-    return orbit_spectrum(orbit), hist, divmod(steps, J), divmod(pairs, s), kernel
+    return orbit_spectrum(orbit), hist, divmod(steps, J), pairs, kernel
+
+
+class _PhaseTables:
+    """Rows e^{-i m dt lambda} conj(V_0), m < ``rows``, of each orbit shape
+    on the arithmetic grid t_k = k dt.
+
+    The rows of a chunk that starts at grid index k0 are the first rows of
+    the table times e^{-i k0 dt lambda}: J exponentials per shape and chunk,
+    where ``OrbitSpectrum.phases`` takes T J.
+    """
+
+    def __init__(self, shapes: dict, dt: float, rows: int):
+        self.dt = dt
+        self.tables = {
+            shape: (spectrum.phases(dt * np.arange(rows)), spectrum.eigenvalues)
+            for shape, (spectrum, *_) in shapes.items()
+        }
+
+    def at(self, k0: int, n: int) -> dict:
+        """Each shape's rows at t = (k0 + m) dt, m < n."""
+        return {
+            shape: table[:n] * np.exp(-1j * (k0 * self.dt) * lam)
+            for shape, (table, lam) in self.tables.items()
+        }
 
 
 def _grid_fires(inst: DecisionInstance, k_max: int):
-    """Yield, for grid sizes k = 1..k_max in order, whether the check fires
-    on the average of the rounded states at the first k grid points."""
+    """Yield, chunk by chunk, the flags of grid sizes k = 1..k_max in order:
+    flag k says whether the check fires on the average of the rounded states
+    at the first k grid points."""
     avger = inst.averager
+    layout = avger.layout
     places = rounding_precision(inst.eta, inst.eps1, avger.h.site_dim)
-    # e1 is diagonal and inside values, so avg - e1 is zero off the values
-    # block and its trace norm is that block's
-    e1_state = basis_state(avger.h, a_cell("a1"))[np.ix_(avger.values, avger.values)]
+    # e1 is diagonal and inside values, so avg - e1 is zero off the layout
+    # and its trace norm is that of the values block
+    block = np.ix_(avger.values, avger.values)
+    e1_state = layout.pack(basis_state(avger.h, a_cell("a1"))[block])
     dt = _grid_step(inst.eta, inst.eps1)
-    chunk = max(1, GRID_CELLS // e1_state.size)
-    running = np.zeros(e1_state.shape, dtype=complex)
+    cells = max(layout.width, sum(J for J, _ in avger.shapes))
+    chunk = max(1, min(k_max, GRID_CELLS // cells))
+    tables = _PhaseTables(avger.shapes, dt, chunk)
+    running = np.zeros(layout.width, dtype=complex)
     for done in range(0, k_max, chunk):
         ks = np.arange(done + 1, min(done + chunk, k_max) + 1)
-        avg = round_state(avger.states_at(dt * ks), places)
+        phases = tables.at(done + 1, len(ks))
+        avg = round_state(avger.states_at(dt * ks, phases), places)
         # carrying into the first row keeps the point-by-point summation order;
         # in place, since every fresh stack-sized array costs page faults
         avg[0] += running
         np.cumsum(avg, axis=0, out=avg)
         running = avg[-1].copy()
-        avg /= ks[:, None, None]
-        yield from check_condition(avg, inst.eta, inst.eps1, e1_state).tolist()
+        avg /= ks[:, None]
+        yield check_condition(avg, inst.eta, inst.eps1, e1_state, layout=layout)
 
 
 def decide_finite(instance: DecisionInstance) -> Verdict:
@@ -454,9 +569,12 @@ def decide_finite(instance: DecisionInstance) -> Verdict:
             f"measured orbit gap {measured:.3g} below the floor {floor:.3g}"
         )
     ledger = _ledger(instance)
-    for k, fired in enumerate(_grid_fires(instance, grid.k_max), 1):
-        if fired:
-            return Verdict("yes", fired_at=k, ledger=ledger)
+    done = 0
+    for flags in _grid_fires(instance, grid.k_max):
+        first = int(flags.argmax())
+        if flags[first]:
+            return Verdict("yes", fired_at=done + first + 1, ledger=ledger)
+        done += len(flags)
     return Verdict("no", ledger=ledger)
 
 
@@ -485,8 +603,10 @@ def semi_decide(instance_at, budget: int) -> Verdict:
     while spent < budget:
         inst = instance_at(diag - 1)
         if inst is not None:
-            # a lattice's k-th visit asks for grid size k <= budget
-            scans.append((diag - 1, _grid_fires(inst, budget)))
+            # a lattice's k-th visit asks for grid size k <= budget, one
+            # flag at a time out of the scan's chunks
+            flags = itertools.chain.from_iterable(_grid_fires(inst, budget))
+            scans.append((diag - 1, flags))
         elif not scans and diag - 1 >= budget:
             raise PromiseViolation(f"no instance for any lattice index 1..{budget}")
         for m, scan in reversed(scans):

@@ -1,5 +1,6 @@
 """Command-line front end: verbs, artifacts, exit codes, determinism."""
 
+import hashlib
 import json
 import time
 
@@ -250,6 +251,37 @@ def test_decide_verb(tmp_path):
     data = json.loads(out.read_text())
     assert data["verdict"] == "yes"
     assert any(e["term"] == "grid_discretization" for e in data["error_ledger"])
+
+
+_A11_NO = {"inner": "ping_pong", "variant": "one-way-amp", "decode": True,
+           "mode": "anchored", "L": 5, "alpha": [1, 8], "v": "1", "eta": 0.846,
+           "eps1": 0.35, "t0_override": 40, "gap_floor_from_fixture": True}
+
+# The decide instances of the benchmark, with the SHA-256 of their output.
+DECIDE_BYTES = [
+    ({"inner": "halt_now", "variant": "one-way-amp", "decode": True, "mode": "anchored",
+      "L": 5, "alpha": [1, 8], "v": "1", "eta": 0.74, "eps1": 0.30, "t0_override": 200,
+      "gap_floor_from_fixture": True},
+     "717665d1cf3affe972d49f3834ade827ba1a5bec5804d794300e2630098edcf0"),
+    (_A11_NO, "bc86c63551b6be0b6bb141f0b7de043c77af228447c0d73cfb75ee5bc1ad3452"),
+    (dict(_A11_NO, semi=True, budget=20),
+     "4b3934ee65b246e71187477d459fb8091a645ddd7824e6d7ade161f33211c354"),
+    ({"inner": "ping_pong", "variant": "one-way-amp", "decode": False, "mode": "anchored",
+      "L": 3, "alpha": [0, 1], "v": "1", "eta": 0.988, "eps1": 0.48, "t0_override": 2000,
+      "gap_floor_from_fixture": True},
+     "e391f49afc49f794faaa167706842e2b93b141a2d1a7d147fb026bed2e990671"),
+]
+
+
+@pytest.mark.parametrize("instance, digest", DECIDE_BYTES,
+                         ids=["halting", "nonhalting", "pair_sweep", "scan"])
+def test_decide_output_bytes_are_pinned(tmp_path, instance, digest):
+    """decide writes the same bytes as ever on the four benchmark instances:
+    verdict, fired_at, ledger and echoed instance alike."""
+    path, out = tmp_path / "inst.json", tmp_path / "v.json"
+    path.write_text(json.dumps(instance))
+    assert run(["--seed", "1", "decide", str(path), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_decide_malformed_instance(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Input encoding, ensembles, goodness statistics, the phase decoder."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -84,6 +85,46 @@ def test_ensemble_product_measure(oneway):
         w for c, w in ens.members if all(x[0] != "M" for x in c.cells)
     )
     assert no_m == Fraction(27, 64)
+
+
+def _fraction_loop_members(spec, params, enc):
+    """Reference enumeration: each member's weight as a running product of
+    its sites' Fractions, zero-weight members dropped."""
+    e0 = control(spec.rw_mode, spec.init_state)
+    if params.mode == "anchored":
+        support, repeated, head = site_distribution(enc), params.L, (e0,)
+    else:
+        support = site_distribution(enc, e0_value=e0, e0_rate=Fraction(1, params.l**2))
+        repeated, head = params.L + 1, ()
+    members = []
+    for combo in itertools.product(support, repeat=repeated):
+        w = Fraction(1)
+        for _, wi in combo:
+            w *= wi
+        if w:
+            cells = head + tuple(v for v, _ in combo)
+            members.append((Configuration(cells, params.boundary), w))
+    return members
+
+
+@pytest.mark.parametrize("mode, L, alpha, l, v", [
+    ("anchored", 5, Fraction(1, 8), 0, "1"),
+    ("anchored", 3, Fraction(1, 4), 0, "101"),
+    ("anchored", 3, Fraction(0), 0, "1"),
+    ("iid", 4, Fraction(0), 2, "1"),
+    ("iid", 3, Fraction(1, 8), 3, "11"),
+])
+def test_ensemble_weights_equal_fraction_products(oneway, iid_nd, mode, L, alpha, l, v):
+    """The integer-product weights are the Fractions of the running product,
+    member by member in the same order, on anchored and iid supports."""
+    spec = oneway if mode == "anchored" else iid_nd
+    params = EnsembleParams(mode, L=L, alpha=alpha, l=l)
+    enc = encode_input(v, alpha)
+    got = build_initial_ensemble(spec, params, enc).members
+    want = _fraction_loop_members(spec, params, enc)
+    assert [c.cells for c, _ in got] == [c.cells for c, _ in want]
+    assert all(type(wg) is Fraction and wg == ww for (_, wg), (_, ww) in zip(got, want))
+    assert sum(w for _, w in got) == 1
 
 
 def test_ensemble_iid_block_length_law(iid_nd):

@@ -30,12 +30,13 @@ from hamca.encoding import (
     build_initial_ensemble,
     encode_input,
 )
-from hamca.hamiltonian import DimensionGuard, compile_machine, orbit_spectrum
+from hamca.hamiltonian import DimensionGuard, OrbitSpectrum, compile_machine, orbit_spectrum
 from hamca.machine import Configuration, MalformedConfiguration, a_cell, control
 from hamca.staged import build_staged_machine
 from hamca.verifier import (
     MAX_GRID_POINTS,
     DecisionInstance,
+    PackedLayout,
     _EnsembleGridAverager,
     _grid_fires,
     DegenerateObservable,
@@ -62,6 +63,7 @@ from hamca.verifier import (
     taylor_bound_check,
     truncated_evolution,
 )
+from test_dynamics import FIXTURE_TABLE, _fixture_configs
 
 
 def _instance(inner, variant, L, alpha, eta, eps1, t0, v="1"):
@@ -174,7 +176,7 @@ def test_screened_check_matches_eigvalsh(s, T, near, seed):
     e1[0, 0] = 1.0
     avg = e1 + a
     exact = trace_distance(avg, e1)
-    lower, upper = verifier._trace_norm_bounds(avg - e1)
+    lower, upper = verifier._trace_norm_bounds(PackedLayout.full(s).pack(avg - e1), s)
     # float rounding of the bounds and of eigvalsh, far inside SCREEN_MARGIN
     assert np.all(lower <= exact + 1e-12) and np.all(exact <= upper + 1e-12)
     if near:
@@ -386,13 +388,100 @@ def test_states_at_matches_per_member_sum(shuttle, oneway, iid_nd):
             assert (len(avger.members), len(avger.shapes)) == (243, n_shapes)
         d, at = h.site_dim, np.ix_(avger.values, avger.values)
         got = np.zeros((len(ts), d, d), dtype=complex)
-        got[(slice(None), *at)] = avger.states_at(ts)
+        got[(slice(None), *at)] = avger.layout.unpack(avger.states_at(ts))
         assert np.abs(got - _per_member_states(avger, ts)).max() < 1e-12
         assert avger.min_orbit_gap() == _per_member_gap(avger)
         if small:
             for k, t in enumerate(ts):
                 want = ensemble_site_average(members, h, t)
                 assert np.abs(got[k] - want).max() < 1e-12
+
+
+def _dense_states_at(avger, ts):
+    """The dense route: every shape's diagonal and kernel products scattered
+    into a (T, s, s) stack of zeros."""
+    s = len(avger.values)
+    rows, cols = avger.layout.rows, avger.layout.cols
+    out = np.zeros((len(ts), s, s), dtype=complex)
+    diag = np.arange(s)
+    for spectrum, hist, (j0, j1), kernel in avger.shapes.values():
+        amps = spectrum.amplitudes(ts)
+        out[:, diag, diag] += np.abs(amps) ** 2 @ hist
+        pair_w = amps[:, j0] * np.conj(amps[:, j1])
+        out[:, rows, cols] += pair_w.real @ kernel + 1j * (pair_w.imag @ kernel)
+    return out
+
+
+def _layout_cases(shuttle, iid_nd):
+    """Averagers over one anchored configuration of every fixture-table row
+    (L = 6 and 13), shuttle cycles with a block member, iid block ensembles
+    and the 243-member benchmark ensembles (several shapes, each reaching a
+    part of the pairs)."""
+    _, rows = FIXTURE_TABLE.args
+    for row in rows:
+        for _, h, cfg in _fixture_configs(*row):
+            yield _EnsembleGridAverager(h, SimpleNamespace(members=[(cfg, 1)]))
+    glide, a1, a2 = control(0, "glide"), a_cell("a1"), a_cell("a2")
+    rings = [(Configuration((glide, a2, a2)), Fraction(1, 3)),
+             (Configuration((glide, a1, a2, a1, a2)), Fraction(1, 3)),
+             (Configuration((glide, a1, a2, glide, a1, a1)), Fraction(1, 3))]
+    yield _EnsembleGridAverager(compile_machine(shuttle), SimpleNamespace(members=rings))
+    for L, l in ((4, 2), (5, 3)):
+        blocks = build_initial_ensemble(iid_nd, EnsembleParams("iid", L=L, alpha=Fraction(0), l=l),
+                                        encode_input("1", Fraction(0)))
+        yield _EnsembleGridAverager(compile_machine(iid_nd), blocks)
+    for inner in ("halt_now", "ping_pong"):
+        spec, members = _a11_style_ensemble(inner)
+        yield _EnsembleGridAverager(compile_machine(spec), SimpleNamespace(members=members))
+
+
+def test_packed_states_equal_the_dense_stack(shuttle, iid_nd):
+    """Packed rows hold the dense stack's entries bit for bit on the layout;
+    off it the dense stack, and the per-member d x d sum outside the
+    occupied values, are exactly 0.  Each layout is closed under transpose
+    and holds every off-diagonal pair once."""
+    ts = np.concatenate([np.linspace(0.0, 7.0, 9), [123.4, 1999.9]])
+    kinds, n_shapes = set(), 0
+    for avger in _layout_cases(shuttle, iid_nd):
+        layout = avger.layout
+        s, pairs = layout.s, list(zip(layout.rows.tolist(), layout.cols.tolist()))
+        assert s == len(avger.values) and all(v != w for v, w in pairs)
+        assert pairs == sorted(set(pairs)) and set(pairs) == {(w, v) for v, w in pairs}
+        packed = avger.states_at(ts)
+        dense = _dense_states_at(avger, ts)
+        assert packed.shape == (len(ts), layout.width)
+        assert np.array_equal(packed.view(np.uint64), layout.pack(dense).view(np.uint64))
+        assert np.array_equal(layout.unpack(packed).view(np.uint64), dense.view(np.uint64))
+        support = np.eye(s, dtype=bool)
+        support[layout.rows, layout.cols] = True
+        assert not dense[:, ~support].any()
+        full = np.zeros((avger.h.site_dim,) * 2, dtype=bool)
+        full[np.ix_(avger.values, avger.values)] = support
+        assert not _per_member_states(avger, ts)[:, ~full].any()
+        kinds |= {kind for _, kind in avger.shapes}
+        n_shapes = max(n_shapes, len(avger.shapes))
+    assert kinds == {"cycle", "dead_end"} and n_shapes >= 5
+
+
+def test_phase_table_amplitudes_match_direct_evaluation():
+    """Amplitudes from the phase tables of the decide grid agree with
+    OrbitSpectrum.amplitudes to 1e-12, for J = 1..64 of both kinds, over
+    chunks up to t = 2000, a short last chunk included."""
+    dt = make_grid(0.988, 0.48, k_max=1).dt
+    rows = 97
+    spectra = {(J, kind): (OrbitSpectrum.of(kind, J),)
+               for J in range(1, 65) for kind in ("dead_end", "cycle")}
+    tables = verifier._PhaseTables(spectra, dt, rows)
+    k_last = int(2000 / dt) - rows
+    worst = 0.0
+    for k0, n in ((1, rows), (rows + 1, rows), (15_000, 9), (k_last, rows)):
+        ts = dt * np.arange(k0, k0 + n)
+        assert ts[-1] <= 2000
+        phases = tables.at(k0, n)
+        for shape, (spectrum,) in spectra.items():
+            got = spectrum.amplitudes(ts, phases[shape])
+            worst = max(worst, np.abs(got - spectrum.amplitudes(ts)).max())
+    assert 0 < worst < 1e-12
 
 
 def test_decide_fires_at_pinned_grid_sizes():
@@ -413,7 +502,7 @@ def _per_point_fires(inst, k_max):
     places = rounding_precision(inst.eta, inst.eps1, avger.h.site_dim)
     e1 = basis_state(avger.h, a_cell("a1"))[np.ix_(avger.values, avger.values)]
     dt = make_grid(inst.eta, inst.eps1, k_max=1).dt
-    states = avger.states_at(dt * np.arange(1, k_max + 1))
+    states = avger.layout.unpack(avger.states_at(dt * np.arange(1, k_max + 1)))
     running = np.zeros(e1.shape, dtype=complex)
     flags = []
     for k in range(1, k_max + 1):
@@ -429,26 +518,29 @@ def _per_point_fires(inst, k_max):
     ("ping_pong", "one-way-amp", 3, 0.988, 0.48, False),
 ])
 def test_grid_fires_matches_per_point_scan(inner, variant, L, eta, eps1, fires, monkeypatch):
-    """The chunked scan flags exactly the grid sizes the per-point loop does,
-    across chunk boundaries: the cell budget is cut to 97-point chunks, so
-    300 points cross three of them."""
+    """The chunked scan, on packed rows with phase-table amplitudes, flags
+    exactly the grid sizes the per-point loop on dense states with directly
+    evaluated amplitudes does, across chunk boundaries: the cell budget is
+    cut to 97-point chunks, so 300 points cross three of them."""
     inst = _instance(inner, variant, L, 0, eta, eps1, 100)
     avger = inst.averager
-    s = len(avger.values)
-    monkeypatch.setattr(verifier, "GRID_CELLS", 97 * s * s)
+    cells = max(avger.layout.width, sum(J for J, _ in avger.shapes))
+    monkeypatch.setattr(verifier, "GRID_CELLS", 97 * cells)
+    want = _per_point_fires(inst, 300)
     chunks = []
     states_at = avger.states_at
 
-    def recording(ts):
+    def recording(ts, phases=None):
         chunks.append(len(ts))
-        return states_at(ts)
+        assert set(phases) == set(avger.shapes)
+        return states_at(ts, phases)
 
     monkeypatch.setattr(avger, "states_at", recording)
-    got = list(_grid_fires(inst, 300))
-    assert chunks == [97, 97, 97, 9]
-    want = _per_point_fires(inst, 300)
+    flags = list(_grid_fires(inst, 300))
+    assert chunks == [97, 97, 97, 9] == [len(f) for f in flags]
+    assert all(f.dtype == bool for f in flags)
+    got = np.concatenate(flags).tolist()
     assert got == want
-    assert {type(f) for f in got} == {bool}
     assert any(want) == fires
 
 
@@ -484,11 +576,13 @@ def _compact_scan(inst, k_max):
     chunk = {}
     sizes, dists = [], []
 
-    def checking(avg, eta, eps1, e1, places=None):
+    def checking(avg, eta, eps1, e1, places=None, layout=None):
+        # the scan hands on packed rows of the averager's layout
+        assert layout is inst.averager.layout and avg.shape[-1] == layout.width
         chunk["done"] = chunk.get("done", 0) + len(chunk.get("avg", ()))
-        chunk["avg"] = avg
-        flags = check_condition(avg, eta, eps1, e1, places)
-        assert flags.tolist() == (trace_distance(avg, e1) > threshold).tolist()
+        chunk["avg"] = dense = layout.unpack(avg)
+        flags = check_condition(avg, eta, eps1, e1, places, layout)
+        assert flags.tolist() == (trace_distance(dense, layout.unpack(e1)) > threshold).tolist()
         return flags
 
     def recording(a, b):
@@ -503,7 +597,7 @@ def _compact_scan(inst, k_max):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verifier, "check_condition", checking)
         mp.setattr(verifier, "trace_distance", recording)
-        flags = list(_grid_fires(inst, k_max))
+        flags = np.concatenate(list(_grid_fires(inst, k_max))).tolist()
     return flags, np.concatenate(sizes or [[]]).astype(int), np.concatenate(dists or [[]])
 
 
@@ -644,15 +738,20 @@ def test_semi_decide_dovetails_lattice_sizes():
 
 def test_semi_decide_visits_pairs_in_diagonal_order(monkeypatch):
     """Lattice indices 2, 3, 5 and 9 are available: the sweep advances their
-    scans in the order of a brute-force walk over every diagonal, builds each
-    index once, and stops at the pair that fires."""
+    scans in the order of a brute-force walk over every diagonal, one grid
+    size at a time out of the scans' chunks, builds each index once, and
+    stops at the pair that fires."""
     available = {2, 3, 5, 9}
     visits, calls = [], []
 
+    def visit(m, k):
+        visits.append((m, k))
+        return (m, k) == (9, 4)
+
     def scan(m, k_max):
-        for k in range(1, k_max + 1):
-            visits.append((m, k))
-            yield (m, k) == (9, 4)
+        # chunks of three grid sizes, each size recorded when it is read
+        for k0 in range(1, k_max + 1, 3):
+            yield (visit(m, k) for k in range(k0, min(k0 + 3, k_max + 1)))
 
     def instance_at(m):
         calls.append(m)
