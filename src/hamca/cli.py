@@ -41,11 +41,11 @@ from .encoding import (
 )
 from .hamiltonian import (
     DimensionGuard,
+    OrbitSpectrum,
     TruncatedOrbit,
     compile_machine,
     energy_gap_bound,
     min_distinct_gap,
-    orbit_spectrum,
 )
 from .machine import (
     MalformedConfiguration,
@@ -56,6 +56,7 @@ from .machine import (
     load_spec,
     orbit_to_jsonl,
     run_orbit,
+    run_stats,
     save_spec,
 )
 from .staged import FIXTURES, VARIANTS, build_staged_machine
@@ -168,15 +169,16 @@ def cmd_orbit(args):
 def cmd_gap(args):
     spec = _machine_from_args(args)
     config = _config_from_args(spec, args)
-    orbit = run_orbit(spec, config, args.max_steps)
-    if orbit.kind == "truncated":
+    stats = run_stats(spec, config, args.max_steps)
+    if stats.terminal == "truncated":
         raise TruncatedOrbit("orbit did not close within the step budget")
-    gap = min_distinct_gap(orbit_spectrum(orbit).eigenvalues)
-    bound = energy_gap_bound(orbit)
+    spectrum = OrbitSpectrum.of(stats.terminal, stats.length)
+    gap = min_distinct_gap(spectrum.eigenvalues)
+    bound = energy_gap_bound(spectrum)
     result = {
         "version": __version__,
-        "J": orbit.length,
-        "terminal": orbit.terminal[0],
+        "J": stats.length,
+        "terminal": stats.terminal,
         "gap_bound": [bound.numerator, bound.denominator],
         "min_distinct_gap": gap,
         "satisfied": bool(gap >= float(bound) - 1e-12),

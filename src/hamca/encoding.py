@@ -85,11 +85,6 @@ def encode_input(v: str, alpha: Fraction = Fraction(1, 256)) -> InputEncoding:
     return InputEncoding(v=v, beta=beta, marker_rate=Fraction(1, n * n), alpha=alpha)
 
 
-def alpha_from_eps1(eps1: Fraction) -> Fraction:
-    """Rate of simulation cells derived from the target accuracy: (eps1/4)^2."""
-    return Fraction(eps1, 4) ** 2
-
-
 def recover_beta(beta_prime: Fraction, n_prime: int) -> str:
     """Unique codeword within 2^-(n_prime+1) of the measured rate.
 
@@ -159,13 +154,6 @@ class InitialEnsemble:
     site_support: list  # [(site value, Fraction)] for the repeated sites
     e0_value: tuple
     metadata: dict = field(default_factory=dict)
-
-    @property
-    def exact(self) -> bool:
-        return bool(self.members)
-
-    def total_weight(self) -> Fraction:
-        return sum((w for _, w in self.members), Fraction(0))
 
 
 def site_distribution(encoding: InputEncoding, e0_value=None, e0_rate=Fraction(0)):
@@ -242,44 +230,6 @@ def sample_configs(ensemble: InitialEnsemble, count: int, seed: int) -> list:
             cells = (ensemble.e0_value,) + cells
         out.append(Configuration(cells, ensemble.params.boundary))
     return out
-
-
-def ensemble_to_json(ensemble: InitialEnsemble, sampler_seed: int = None) -> dict:
-    """Portable form: parameters plus either the explicit weighted list or a
-    sampler specification (per-site support and seed)."""
-    from .machine import cell_to_tag
-
-    def frac(x):
-        f = Fraction(x)
-        return [f.numerator, f.denominator]
-
-    data = {
-        "mode": ensemble.params.mode,
-        "L": ensemble.params.L,
-        "l": ensemble.params.l,
-        "boundary": ensemble.params.boundary,
-        "v": ensemble.encoding.v,
-        "alpha": frac(ensemble.encoding.alpha),
-        "violations": list(ensemble.metadata.get("violations", [])),
-    }
-    if ensemble.exact:
-        data["members"] = [
-            [[cell_to_tag(x) for x in cfg.cells], frac(w)]
-            for cfg, w in ensemble.members
-        ]
-    else:
-        data["sampler"] = {
-            "seed": sampler_seed,
-            "site_support": [
-                [cell_to_tag(v), frac(w)] for v, w in ensemble.site_support
-            ],
-            "repeated_sites": (
-                ensemble.params.L
-                if ensemble.params.mode == "anchored"
-                else ensemble.params.L + 1
-            ),
-        }
-    return data
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,12 @@ materialized on the full tensor space; dense linear algebra happens only on
 the subspace reachable from a seed set of configurations, which for a legal
 initial configuration is exactly its orbit.
 
-``apply_update`` and ``LocalHamiltonian.step_table`` (the pair maps in
-site-value codes, which ``machine.run_stats`` and ``dynamics.coded_orbit``
-step through) deliberately re-implement the stepping mechanics from the pair
-maps alone, so agreement with ``machine.step`` is a two-route check of the
-compilation, not a tautology.
+``_apply_at`` (behind ``apply_update_dagger`` and ``reachable_space``) and
+``LocalHamiltonian.step_table`` (the pair maps in site-value codes, which
+``machine.run_stats`` and ``dynamics.coded_orbit`` step through)
+deliberately re-implement the stepping mechanics from the pair maps alone,
+so agreement with ``machine.step`` is a two-route check of the compilation,
+not a tautology.
 """
 
 from __future__ import annotations
@@ -25,17 +26,14 @@ import numpy as np
 
 from .machine import (
     MARK,
-    MINUS,
     PLUS,
     Configuration,
     MachineSpec,
     MalformedConfiguration,
     NotReversible,
     Orbit,
-    cell_to_tag,
     is_control,
     require_reversible,
-    tag_to_cell,
 )
 
 
@@ -175,12 +173,6 @@ def _apply_at(h: LocalHamiltonian, cells, i, boundary, dagger=False):
     out[j] = ("Q", 1 - mode, q)
     out[i] = cells[j]
     return tuple(out)
-
-
-def apply_update(h: LocalHamiltonian, config: Configuration):
-    """U applied to a single-control basis configuration; None where U|x> = 0."""
-    out = _apply_at(h, config.cells, config.single_control(), config.boundary)
-    return None if out is None else Configuration(out, config.boundary)
 
 
 def apply_update_dagger(h: LocalHamiltonian, config: Configuration):
@@ -328,8 +320,9 @@ def orbit_spectrum(orbit: Orbit) -> OrbitSpectrum:
     return OrbitSpectrum.of(orbit.kind, orbit.length)
 
 
-def energy_gap_bound(orbit: Orbit) -> Fraction:
-    """Certified lower bound 8/(J+1)^2 on distinct-eigenvalue gaps."""
+def energy_gap_bound(orbit: Orbit | OrbitSpectrum) -> Fraction:
+    """Certified lower bound 8/(J+1)^2 on distinct-eigenvalue gaps of a
+    J-orbit, read from its ``kind`` and ``length``."""
     if orbit.kind == "truncated":
         raise TruncatedOrbit("gap bound needs a complete orbit")
     J = orbit.length
@@ -342,46 +335,3 @@ def min_distinct_gap(eigenvalues: np.ndarray, tol: float = 1e-9) -> float:
     between distinct values are the positive differences of the sorted ones."""
     steps = np.diff(np.sort(np.round(eigenvalues / tol) * tol))
     return float(steps[steps > 0].min(initial=np.inf))
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-
-def hamiltonian_to_json(h: LocalHamiltonian) -> dict:
-    def ctag(mq):
-        return f"Q:{mq[0]}:{mq[1]}"
-
-    return {
-        "boundary": h.boundary,
-        "rw_mode": h.rw_mode,
-        "site_dim": h.site_dim,
-        "u0_pairs": sorted(
-            [ctag(src[0]), cell_to_tag(src[1]), ctag(dst[0]), cell_to_tag(dst[1])]
-            for src, dst in h.u0_pairs.items()
-        ),
-        "shift_dirs": dict(sorted(h.shift_dirs.items())),
-        "site_values": [cell_to_tag(v) for v in h.site_values],
-    }
-
-
-def hamiltonian_from_json(data: dict) -> LocalHamiltonian:
-    for q, d in data["shift_dirs"].items():
-        if d not in (PLUS, MINUS):
-            raise ValueError(f"state {q!r} has shift direction {d!r}, not + or -")
-    u0 = {}
-    for c1, t1, c2, t2 in data["u0_pairs"]:
-        src_q = tag_to_cell(c1)
-        dst_q = tag_to_cell(c2)
-        u0[((src_q[1], src_q[2]), tag_to_cell(t1))] = (
-            (dst_q[1], dst_q[2]),
-            tag_to_cell(t2),
-        )
-    return LocalHamiltonian(
-        site_values=tuple(tag_to_cell(t) for t in data["site_values"]),
-        rw_mode=data["rw_mode"],
-        u0_pairs=u0,
-        shift_dirs=dict(data["shift_dirs"]),
-        boundary=data["boundary"],
-    )

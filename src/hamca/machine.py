@@ -26,7 +26,6 @@ Cell = tuple
 Site = tuple
 
 MODE0 = 0
-MODE1 = 1
 
 PLUS = "+"
 MINUS = "-"
@@ -36,7 +35,6 @@ MINUS = "-"
 MARK = "mk"
 MARK2 = "mk2"
 MARK3 = "mk3"
-MARK_FAMILY = (MARK, MARK2, MARK3)
 
 BLANK = "s0"  # fresh second-track symbol of a simulation cell
 

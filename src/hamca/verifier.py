@@ -107,17 +107,7 @@ class OverlapViolation(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class TimeGrid:
-    dt: float
-    k_max: int
-    t0: float
-
-    def points(self, k: int) -> np.ndarray:
-        return self.dt * np.arange(1, k + 1)
-
-
-def _grid_step(eta, eps1) -> float:
+def grid_step(eta, eps1) -> float:
     """Step that keeps each interval's state drift within (eta-eps1)/2."""
     eta, eps1 = float(eta), float(eps1)
     if not (0 < eps1 and 2 * eps1 <= eta < 1):
@@ -125,16 +115,9 @@ def _grid_step(eta, eps1) -> float:
     return (eta - eps1) / (4 * NORM_H_BOUND)
 
 
-def make_grid(eta, eps1, t0=None, k_max=None) -> TimeGrid:
-    """Grid of step ``_grid_step`` up to the cutoff ``t0`` or ``k_max`` points."""
-    dt = _grid_step(eta, eps1)
-    if k_max is None:
-        if t0 is None:
-            raise InvalidThresholds("need either a cutoff time or a grid size")
-        k_max = math.ceil(t0 / dt)
-    if t0 is None:
-        t0 = k_max * dt
-    return TimeGrid(dt=dt, k_max=int(k_max), t0=float(t0))
+def grid_size(eta, eps1, t0) -> int:
+    """Grid points of step ``grid_step`` up to the cutoff ``t0``."""
+    return math.ceil(t0 / grid_step(eta, eps1))
 
 
 def t0_cutoff(L: int, gamma: int) -> int:
@@ -532,7 +515,7 @@ def _grid_fires(inst: DecisionInstance, k_max: int):
     # and its trace norm is that of the values block
     block = np.ix_(avger.values, avger.values)
     e1_state = layout.pack(basis_state(avger.h, a_cell("a1"))[block])
-    dt = _grid_step(inst.eta, inst.eps1)
+    dt = grid_step(inst.eta, inst.eps1)
     cells = max(layout.width, sum(J for J, _ in avger.shapes))
     chunk = max(1, min(k_max, GRID_CELLS // cells))
     tables = _PhaseTables(avger.shapes, dt, chunk)
@@ -557,11 +540,9 @@ def decide_finite(instance: DecisionInstance) -> Verdict:
     t0 = instance.t0_override
     if t0 is None:
         t0 = t0_cutoff(instance.ensemble.params.L, instance.gamma)
-    grid = make_grid(instance.eta, instance.eps1, t0=t0)
-    if grid.k_max > MAX_GRID_POINTS:
-        raise DimensionGuard(
-            f"time grid of {grid.k_max} points exceeds {MAX_GRID_POINTS}"
-        )
+    k_max = grid_size(instance.eta, instance.eps1, t0)
+    if k_max > MAX_GRID_POINTS:
+        raise DimensionGuard(f"time grid of {k_max} points exceeds {MAX_GRID_POINTS}")
     floor = instance.floor()
     measured = instance.averager.min_orbit_gap()
     if measured < floor:
@@ -570,7 +551,7 @@ def decide_finite(instance: DecisionInstance) -> Verdict:
         )
     ledger = _ledger(instance)
     done = 0
-    for flags in _grid_fires(instance, grid.k_max):
+    for flags in _grid_fires(instance, k_max):
         first = int(flags.argmax())
         if flags[first]:
             return Verdict("yes", fired_at=done + first + 1, ledger=ledger)

@@ -57,7 +57,8 @@ from hamca.verifier import (
     check_condition,
     decide_finite,
     fixture_gap_floor,
-    make_grid,
+    grid_size,
+    grid_step,
     semi_decide,
     separation_margins,
     taylor_bound_check,
@@ -460,8 +461,8 @@ def test_a11_decision_pipeline():
         path = np.diag(np.ones(J - 1), 1) + np.diag(np.ones(J - 1), -1)
         v0 = np.zeros(J)
         v0[0] = 1.0
-        grid = make_grid(inst.eta, inst.eps1, t0=4.0)
-        ts = grid.points(grid.k_max)
+        dt = grid_step(inst.eta, inst.eps1)
+        ts = dt * np.arange(1, grid_size(inst.eta, inst.eps1, 4.0) + 1)
         try:
             taylor_bound_check(path, v0, ts, float(ts[-1]), inst.eta, inst.eps1)
         except Exception:

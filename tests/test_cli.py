@@ -7,11 +7,17 @@ import time
 import numpy as np
 import pytest
 
+from hamca import __version__
 from hamca.cli import main
 from hamca.dynamics import orbit_site_average, run_orbit_cached, trace_distance
-from hamca.encoding import anchored_configuration
-from hamca.hamiltonian import compile_machine
-from hamca.machine import a_cell, spec_to_json
+from hamca.encoding import anchored_configuration, scattered_m_sites
+from hamca.hamiltonian import (
+    compile_machine,
+    energy_gap_bound,
+    min_distinct_gap,
+    orbit_spectrum,
+)
+from hamca.machine import a_cell, run_orbit, spec_to_json
 from hamca.staged import build_staged_machine, shuttle_machine
 
 
@@ -55,6 +61,66 @@ def test_gap_verb(tmp_path):
                 "--no-decode", "--L", "5", "--out", str(out)]) == 0
     data = json.loads(out.read_text())
     assert data["satisfied"] is True
+
+
+def _gap_reference(spec, config, max_steps):
+    """The gap JSON from the reference stepper's orbit, built as the verb
+    builds it."""
+    orbit = run_orbit(spec, config, max_steps)
+    gap = min_distinct_gap(orbit_spectrum(orbit).eigenvalues)
+    bound = energy_gap_bound(orbit)
+    result = {
+        "version": __version__,
+        "J": orbit.length,
+        "terminal": orbit.terminal[0],
+        "gap_bound": [bound.numerator, bound.denominator],
+        "min_distinct_gap": gap,
+        "satisfied": bool(gap >= float(bound) - 1e-12),
+    }
+    return json.dumps(result, indent=1, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("spec, argv, L, m_sites, J, terminal", [
+    (build_staged_machine("halt_now", "two-way-amp", include_decode=False),
+     ["--inner", "halt_now", "--variant", "two-way-amp", "--no-decode"],
+     40, {}, 1645, "dead_end"),
+    (build_staged_machine("halt_now", "one-way-amp"),
+     ["--inner", "halt_now", "--variant", "one-way-amp", "--m-count", "2"],
+     12, scattered_m_sites(12, 2, seed=0), 49, "dead_end"),
+    (shuttle_machine(), None, 19, {}, 40, "cycle"),
+])
+def test_gap_matches_reference_orbit(tmp_path, capsys, spec, argv, L, m_sites, J, terminal):
+    """The gap JSON read off the streaming run equals the one computed from
+    ``machine.run_orbit``, on dead-end orbits, with and without the decode
+    stage, and on a cycle; at the step budget, J - 1 steps are refused with
+    exit 3 and J steps suffice."""
+    if argv is None:
+        m = tmp_path / "spec.json"
+        m.write_text(json.dumps(spec_to_json(spec)))
+        argv = ["--machine", str(m)]
+    argv = ["gap"] + argv + ["--L", str(L)]
+    out = tmp_path / "gap.json"
+    assert run(argv + ["--out", str(out)]) == 0
+    want = _gap_reference(spec, anchored_configuration(spec, L, m_sites), 200_000)
+    assert out.read_text() == want
+    assert (json.loads(want)["J"], json.loads(want)["terminal"]) == (J, terminal)
+    assert run(argv + ["--max-steps", str(J - 1)]) == 3
+    err = capsys.readouterr().err.strip().split("\n")
+    assert err[-1] == "resource guard: orbit did not close within the step budget"
+    assert run(argv + ["--max-steps", str(J), "--out", str(out)]) == 0
+    assert out.read_text() == want
+
+
+def test_gap_long_orbit_within_budget(tmp_path):
+    """A 160,405-step orbit (two-way, L = 400) is measured by the streaming
+    run in well under 2 s, without building its configurations."""
+    out = tmp_path / "gap.json"
+    t0 = time.perf_counter()
+    assert run(["gap", "--inner", "halt_now", "--variant", "two-way-amp",
+                "--no-decode", "--L", "400", "--out", str(out)]) == 0
+    assert time.perf_counter() - t0 < 2.0
+    data = json.loads(out.read_text())
+    assert (data["J"], data["terminal"], data["satisfied"]) == (160405, "dead_end", True)
 
 
 def test_evolve_deterministic(tmp_path):

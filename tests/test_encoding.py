@@ -10,11 +10,9 @@ from hypothesis import strategies as st
 
 from hamca.encoding import (
     EnsembleParams,
-    ensemble_to_json,
     NoValidCodeword,
     OraclePromiseViolated,
     PromiseViolated,
-    alpha_from_eps1,
     anchored_configuration,
     build_initial_ensemble,
     classify_good,
@@ -47,7 +45,6 @@ def test_encode_examples():
         encode_input("10")
     with pytest.raises(PromiseViolated):
         encode_input("")
-    assert alpha_from_eps1(Fraction(1, 4)) == Fraction(1, 256)
 
 
 def test_recover_beta_examples():
@@ -80,7 +77,7 @@ def test_ensemble_product_measure(oneway):
     enc = encode_input("1", alpha=Fraction(1, 4))
     params = EnsembleParams("anchored", L=3, alpha=Fraction(1, 4))
     ens = build_initial_ensemble(oneway, params, enc)
-    assert ens.total_weight() == 1
+    assert sum(w for _, w in ens.members) == 1
     no_m = sum(
         w for c, w in ens.members if all(x[0] != "M" for x in c.cells)
     )
@@ -135,19 +132,6 @@ def test_ensemble_iid_block_length_law(iid_nd):
     p0 = dict((v, w) for v, w in dist)[control(0, "boot")]
     mean = 1 / p0
     assert mean == l * l
-
-
-def test_ensemble_json_export(oneway):
-    enc = encode_input("1", alpha=Fraction(1, 4))
-    params = EnsembleParams("anchored", L=2, alpha=Fraction(1, 4))
-    ens = build_initial_ensemble(oneway, params, enc)
-    data = ensemble_to_json(ens)
-    assert data["mode"] == "anchored"
-    assert sum(Fraction(*w) for _, w in data["members"]) == 1
-    big = EnsembleParams("anchored", L=50, alpha=Fraction(1, 4))
-    handle = ensemble_to_json(build_initial_ensemble(oneway, big, enc), sampler_seed=5)
-    assert handle["sampler"]["seed"] == 5
-    assert handle["sampler"]["repeated_sites"] == 50
 
 
 def test_ensemble_sampler_deterministic(oneway):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hamca.dynamics import run_orbit_cached
+from hamca.dynamics import coded_orbit, run_orbit_cached
 from hamca.encoding import (
     EnsembleParams,
     anchored_configuration,
@@ -14,12 +14,9 @@ from hamca.encoding import (
     scattered_m_sites,
 )
 from hamca.hamiltonian import (
-    apply_update,
     apply_update_dagger,
     compile_machine,
     energy_gap_bound,
-    hamiltonian_from_json,
-    hamiltonian_to_json,
     min_distinct_gap,
     orbit_spectrum,
     reachable_space,
@@ -46,8 +43,9 @@ from hamca.machine import (
 from hamca.staged import FIXTURES, VARIANTS, build_staged_machine
 
 
-def test_update_agrees_with_step_along_runs(oneway, h_oneway, rng):
-    """Cross-module equality on configurations drawn from real runs."""
+def test_dagger_undoes_step_along_runs(oneway, h_oneway, rng):
+    """U† of the compiled pair maps inverts ``machine.step`` on
+    configurations drawn from real runs."""
     checked = 0
     for seed in range(8):
         L = int(rng.randint(4, 9))
@@ -57,12 +55,9 @@ def test_update_agrees_with_step_along_runs(oneway, h_oneway, rng):
         cur = cfg
         for _ in range(40):
             s = step(oneway, cur)
-            u = apply_update(h_oneway, cur)
             if s is None:
-                assert u is None
                 break
-            assert u.cells == s.cells
-            assert apply_update_dagger(h_oneway, u).cells == cur.cells
+            assert apply_update_dagger(h_oneway, s).cells == cur.cells
             cur = s
             checked += 1
     assert checked >= 100
@@ -71,7 +66,7 @@ def test_update_agrees_with_step_along_runs(oneway, h_oneway, rng):
 def test_update_zero_on_marker_read(oneway_nd, h_oneway=None):
     h = compile_machine(oneway_nd)
     cells = (a_cell("a2"), control(0, "amp"), a_cell(MARK), a_cell("a1"))
-    assert apply_update(h, Configuration(cells)) is None
+    assert coded_orbit(h, Configuration(cells), 1).terminal == ("dead_end", 1)
 
 
 def test_initial_configuration_has_no_predecessor(oneway, h_oneway):
@@ -83,7 +78,7 @@ def test_update_zero_on_terminal(oneway_nd):
     h = compile_machine(oneway_nd)
     orbit = run_orbit(oneway_nd, anchored_configuration(oneway_nd, 5), 10_000)
     assert orbit.kind == "dead_end"
-    assert apply_update(h, orbit.states[-1]) is None
+    assert coded_orbit(h, orbit.states[-1], 1).terminal == ("dead_end", 1)
 
 
 @pytest.mark.parametrize("direction", [PLUS, MINUS])
@@ -105,8 +100,9 @@ def test_compile_refuses_right_mover_on_marker(direction):
         assert len(compile_machine(spec).u0_pairs) == 1
 
 
-def test_dagger_undoes_update_on_every_pair():
-    """U† inverts U on every read-write pair and every shift of every build."""
+def test_dagger_undoes_step_on_every_pair():
+    """U† inverts ``machine.step`` on every read-write pair and every shift
+    of every build."""
     for inner in FIXTURES:
         for variant in VARIANTS:
             for decode in (True, False):
@@ -119,7 +115,7 @@ def test_dagger_undoes_update_on_every_pair():
                 assert len(moves) == len(h.u0_pairs) + len(h.shift_dirs) > 0
                 for cells in moves:
                     cfg = Configuration(cells, "open")
-                    nxt = apply_update(h, cfg)
+                    nxt = step(spec, cfg)
                     assert nxt is not None and nxt != cfg
                     assert apply_update_dagger(h, nxt) == cfg
 
@@ -129,13 +125,13 @@ def test_locality_of_update(oneway, h_oneway):
     action unchanged."""
     L = 8
     cfg = anchored_configuration(oneway, L, {4: (0, 1)})
-    base = apply_update(h_oneway, cfg)
+    base = coded_orbit(h_oneway, cfg, 1)
     flipped = list(cfg.cells)
     flipped[6] = a_cell("a2")  # distance >= 2 from the control at site 0
-    other = apply_update(h_oneway, Configuration(tuple(flipped)))
-    assert base is not None and other is not None
-    assert base.cells[:2] == other.cells[:2]
-    assert other.cells[6] == a_cell("a2")
+    other = coded_orbit(h_oneway, Configuration(tuple(flipped)), 1)
+    assert base.length == other.length == 2
+    assert (base.rows[1, :2] == other.rows[1, :2]).all()
+    assert other.rows[1, 6] == h_oneway.value_index(a_cell("a2"))
 
 
 def test_reachable_closure_is_orbit_for_initial(oneway_nd):
@@ -287,18 +283,3 @@ def test_gap_bound_sweep():
         bound = float(energy_gap_bound(orbit))
         if J > 1:
             assert min_distinct_gap(orbit_spectrum(orbit).eigenvalues) >= bound - 1e-12
-
-
-def test_hamiltonian_json_round_trip(oneway, h_oneway):
-    data = hamiltonian_to_json(h_oneway)
-    back = hamiltonian_from_json(data)
-    assert back.u0_pairs == h_oneway.u0_pairs
-    assert back.shift_dirs == h_oneway.shift_dirs
-    assert back.site_values == h_oneway.site_values
-
-
-def test_hamiltonian_json_refuses_other_directions(h_oneway):
-    data = hamiltonian_to_json(h_oneway)
-    data["shift_dirs"] = {**data["shift_dirs"], "amp": "0"}
-    with pytest.raises(ValueError, match="shift direction"):
-        hamiltonian_from_json(data)

@@ -51,8 +51,9 @@ from hamca.verifier import (
     decide_finite,
     dense_lattice_hamiltonian,
     fixture_gap_floor,
+    grid_size,
+    grid_step,
     lattice_site_average,
-    make_grid,
     reduction_parameters,
     rotation_to,
     round_state,
@@ -78,27 +79,27 @@ def _instance(inner, variant, L, alpha, eta, eps1, t0, v="1"):
     return inst
 
 
-def test_make_grid_examples():
-    grid = make_grid(0.5, 0.25, k_max=4)
-    assert grid.dt == pytest.approx(1 / 32)
+def test_grid_step_examples():
+    assert grid_step(0.5, 0.25) == pytest.approx(1 / 32)
+    assert grid_size(0.5, 0.25, 0.1) == 4
     assert t0_cutoff(3, 1) == 2**15
     with pytest.raises(InvalidThresholds):
-        make_grid(0.5, 0.3, k_max=1)  # 2*eps1 >= eta
+        grid_step(0.5, 0.3)  # 2*eps1 >= eta
     with pytest.raises(InvalidThresholds):
-        make_grid(1.2, 0.2, k_max=1)
+        grid_size(1.2, 0.2, 1.0)
 
 
 def test_grid_interval_drift(oneway_nd, h_oneway_nd, rng):
     """State drift within one grid interval stays within half the margin."""
     eta, eps1 = 0.5, 0.2
-    grid = make_grid(eta, eps1, t0=20)
+    dt = grid_step(eta, eps1)
     cfg = anchored_configuration(oneway_nd, 5)
     orbit = run_orbit_cached(cfg, h_oneway_nd, 1000)
     worst = 0.0
     for i in (1, 7, 23):
-        ti = i * grid.dt
+        ti = i * dt
         ri = orbit_site_average(orbit, h_oneway_nd, ti)
-        for u in rng.uniform(0, grid.dt, 6):
+        for u in rng.uniform(0, dt, 6):
             rt = orbit_site_average(orbit, h_oneway_nd, ti - float(u))
             worst = max(worst, trace_distance(ri, rt))
     assert worst <= 0.5 * (eta - eps1)
@@ -204,7 +205,7 @@ def test_screening_decides_the_whole_scan_benchmark_grid(monkeypatch):
     _count_calls(monkeypatch, "hamca.dynamics", "trace_distance", calls)
     verdict = decide_finite(inst)
     assert verdict.verdict == "no"
-    assert make_grid(inst.eta, inst.eps1, t0=2000).k_max == 31497
+    assert grid_size(inst.eta, inst.eps1, 2000) == 31497
     assert calls == {}
 
 
@@ -467,7 +468,7 @@ def test_phase_table_amplitudes_match_direct_evaluation():
     """Amplitudes from the phase tables of the decide grid agree with
     OrbitSpectrum.amplitudes to 1e-12, for J = 1..64 of both kinds, over
     chunks up to t = 2000, a short last chunk included."""
-    dt = make_grid(0.988, 0.48, k_max=1).dt
+    dt = grid_step(0.988, 0.48)
     rows = 97
     spectra = {(J, kind): (OrbitSpectrum.of(kind, J),)
                for J in range(1, 65) for kind in ("dead_end", "cycle")}
@@ -501,7 +502,7 @@ def _per_point_fires(inst, k_max):
     avger = inst.averager
     places = rounding_precision(inst.eta, inst.eps1, avger.h.site_dim)
     e1 = basis_state(avger.h, a_cell("a1"))[np.ix_(avger.values, avger.values)]
-    dt = make_grid(inst.eta, inst.eps1, k_max=1).dt
+    dt = grid_step(inst.eta, inst.eps1)
     states = avger.layout.unpack(avger.states_at(dt * np.arange(1, k_max + 1)))
     running = np.zeros(e1.shape, dtype=complex)
     flags = []
@@ -552,7 +553,7 @@ def _dense_scan(inst, k_max, chunk=2048):
     h = avger.h
     places = rounding_precision(inst.eta, inst.eps1, h.site_dim)
     e1 = basis_state(h, a_cell("a1"))
-    dt = make_grid(inst.eta, inst.eps1, k_max=1).dt
+    dt = grid_step(inst.eta, inst.eps1)
     threshold = inst.eps1 + 1.25 * (inst.eta - inst.eps1)
     running = np.zeros_like(e1)
     dists = []
@@ -641,7 +642,7 @@ def test_compact_scan_matches_dense_reference(shuttle, iid_nd):
     for inst, k in cases:
         avger = inst.averager
         assert a_cell("a1") in [avger.h.site_values[v] for v in avger.values]
-        k_max = make_grid(inst.eta, inst.eps1, t0=inst.t0_override).k_max
+        k_max = grid_size(inst.eta, inst.eps1, inst.t0_override)
         k = min(k_max, k or k_max)
         flags, sizes, dists = _compact_scan(inst, k)
         want_flags, want_dists = _dense_scan(inst, k)
