@@ -121,6 +121,28 @@ def _header_lines(args, extra=None):
     ]
 
 
+def _dumps_with_state(payload: dict, rho: np.ndarray) -> str:
+    """``json.dumps({**payload, "state": [[[re, im], ...], ...]}, indent=1,
+    sort_keys=True)`` for a complex matrix ``rho`` of finite entries, byte
+    for byte.
+
+    ``indent`` sends ``json`` to its pure-Python encoder, which is slow on
+    the d x d x 2 floats of the state; their text, the reprs json writes
+    for finite floats, is joined here instead.  The other fields are small
+    and go through ``json``, one level in.
+    """
+    rows = (
+        ",\n   ".join(f"[\n    {re!r},\n    {im!r}\n   ]" for re, im in zip(*row))
+        for row in zip(rho.real.tolist(), rho.imag.tolist())
+    )
+    fields = {
+        k: json.dumps(v, indent=1, sort_keys=True).replace("\n", "\n ")
+        for k, v in payload.items()
+    }
+    fields["state"] = "[\n  " + ",\n  ".join(f"[\n   {row}\n  ]" for row in rows) + "\n ]"
+    return "{\n" + ",\n".join(f" {json.dumps(k)}: {fields[k]}" for k in sorted(fields)) + "\n}"
+
+
 def _write(path, text):
     if path in (None, "-"):
         sys.stdout.write(text)
@@ -173,7 +195,11 @@ def cmd_gap(args):
     if stats.terminal == "truncated":
         raise TruncatedOrbit("orbit did not close within the step budget")
     spectrum = OrbitSpectrum.of(stats.terminal, stats.length)
-    gap = min_distinct_gap(spectrum.eigenvalues)
+    # the closed forms are good to about 1e-15, so a repeat (a cycle's k and
+    # -k) differs by far less than 1e-12, while every gap of an orbit within
+    # reach is far more: the smallest is about 3 pi^2 / (J+1)^2, 7.9e-10 at
+    # J = 194,045
+    gap = min_distinct_gap(spectrum.eigenvalues, tol=1e-12)
     bound = energy_gap_bound(spectrum)
     result = {
         "version": __version__,
@@ -196,15 +222,19 @@ def cmd_evolve(args):
         raise TruncatedOrbit("orbit did not close within the step budget")
     i1 = h.value_index(a_cell("a1"))
     i2 = h.value_index(a_cell("a2"))
-    e1 = basis_state(h, a_cell("a1"))
-    mix = 0.5 * (e1 + basis_state(h, a_cell("a2")))
     ts = np.linspace(0.0, args.t_max, args.t_steps)
     lines = _header_lines(args, {"J": orbit.length})
     lines.append(
         "# trace distances use the unhalved convention (orthogonal pure states at 2)"
     )
     lines.append("t,p_a1,p_a2,re_rho_a1_a2,im_rho_a1_a2,dist_to_a1,dist_to_half_mix")
-    rhos = orbit_site_average(orbit, h, ts)
+    # states on the block of occupied values plus a1 and a2: the targets are
+    # diagonal there, so each difference is zero off the block and its trace
+    # norm is that of the block
+    values, rhos = orbit_site_average(orbit, h, ts, keep=(i1, i2))
+    b1, b2 = np.searchsorted(values, (i1, i2))
+    e1 = np.diag(values == i1).astype(complex)
+    mix = 0.5 * (e1 + np.diag(values == i2))
     # one batched eigvalsh per column; LAPACK still solves matrix by matrix,
     # so every digit is the per-matrix one
     to_a1, to_mix = trace_distance(rhos, e1), trace_distance(rhos, mix)
@@ -213,10 +243,10 @@ def cmd_evolve(args):
             ",".join(
                 [
                     f"{t:.12g}",
-                    f"{rho[i1, i1].real:.12g}",
-                    f"{rho[i2, i2].real:.12g}",
-                    f"{rho[i1, i2].real:.12g}",
-                    f"{rho[i1, i2].imag:.12g}",
+                    f"{rho[b1, b1].real:.12g}",
+                    f"{rho[b2, b2].real:.12g}",
+                    f"{rho[b1, b2].real:.12g}",
+                    f"{rho[b1, b2].imag:.12g}",
                     f"{d1:.12g}",
                     f"{dm:.12g}",
                 ]
@@ -237,10 +267,9 @@ def cmd_timeavg(args):
         "J": stats.length,
         "terminal": stats.terminal,
         "basis": [cell_to_tag(v) for v in h.site_values],
-        "state": [[[v.real, v.imag] for v in row] for row in rho],
         "dist_to_a1": trace_distance(rho, e1),
     }
-    _write(args.out, json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    _write(args.out, _dumps_with_state(payload, rho) + "\n")
     return 0
 
 
@@ -378,30 +407,28 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(f"{self.prog}: {message}")
 
 
-def build_parser():
-    ap = _Parser(prog="hamca", description=__doc__)
-    ap.add_argument("--seed", type=int, default=0)
-    sub = ap.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("build-machine", help="emit a machine spec JSON")
+def _opts_build_machine(p):
     _add_machine_opts(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_build_machine)
 
-    p = sub.add_parser("orbit", help="run an orbit; emit JSONL and count CSV")
+
+def _opts_orbit(p):
     _add_machine_opts(p)
     _add_config_opts(p)
     p.add_argument("--out", default="-")
     p.add_argument("--stats-out", default="orbit_stats.csv")
     p.set_defaults(func=cmd_orbit)
 
-    p = sub.add_parser("gap", help="orbit spectrum gap versus the certified bound")
+
+def _opts_gap(p):
     _add_machine_opts(p)
     _add_config_opts(p)
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_gap)
 
-    p = sub.add_parser("evolve", help="time series of the averaged site state")
+
+def _opts_evolve(p):
     _add_machine_opts(p)
     _add_config_opts(p)
     p.add_argument("--t-max", type=float, default=20.0)
@@ -409,13 +436,15 @@ def build_parser():
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_evolve)
 
-    p = sub.add_parser("timeavg", help="long-term averaged site state")
+
+def _opts_timeavg(p):
     _add_machine_opts(p)
     _add_config_opts(p)
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_timeavg)
 
-    p = sub.add_parser("decide", help="run the decision procedure on an instance file")
+
+def _opts_decide(p):
     p.add_argument("instance")
     p.add_argument("--t0-override", type=float, default=None,
                    help="replace the instance's cutoff time")
@@ -424,7 +453,8 @@ def build_parser():
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_decide)
 
-    p = sub.add_parser("sample-good", help="Monte Carlo bad-rate versus the bound")
+
+def _opts_sample_good(p):
     p.add_argument("--mode", default="anchored", choices=("anchored", "iid"))
     p.add_argument("--n", type=int, default=64)
     p.add_argument("--alpha", type=fraction, default="1/8")
@@ -434,7 +464,8 @@ def build_parser():
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_sample_good)
 
-    p = sub.add_parser("phase-decode", help="recover bits from the rotation angle")
+
+def _opts_phase_decode(p):
     given = p.add_mutually_exclusive_group(required=True)
     given.add_argument("--v", help="bit string (for round-trip use)")
     given.add_argument("--beta", type=fraction, help="angle as a fraction p/q")
@@ -442,12 +473,45 @@ def build_parser():
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_phase_decode)
 
+
+# verb -> (help line, function adding its options), in the order of --help
+VERBS = {
+    "build-machine": ("emit a machine spec JSON", _opts_build_machine),
+    "orbit": ("run an orbit; emit JSONL and count CSV", _opts_orbit),
+    "gap": ("orbit spectrum gap versus the certified bound", _opts_gap),
+    "evolve": ("time series of the averaged site state", _opts_evolve),
+    "timeavg": ("long-term averaged site state", _opts_timeavg),
+    "decide": ("run the decision procedure on an instance file", _opts_decide),
+    "sample-good": ("Monte Carlo bad-rate versus the bound", _opts_sample_good),
+    "phase-decode": ("recover bits from the rotation angle", _opts_phase_decode),
+}
+
+
+def build_parser(verb=None):
+    """The parser of every verb; with ``verb``, of that verb only, which
+    parses that verb's command lines alike at a fraction of the cost."""
+    ap = _Parser(prog="hamca", description=__doc__)
+    ap.add_argument("--seed", type=int, default=0)
+    sub = ap.add_subparsers(dest="verb", required=True)
+    for name, (help_line, add_opts) in VERBS.items():
+        if verb in (None, name):
+            add_opts(sub.add_parser(name, help=help_line))
     return ap
 
 
+def _named_verb(argv):
+    """The verb of a command line that names it first or after
+    ``--seed N``; None for any other line, which the full parser then reads
+    (and reports on, for help, an unknown verb or a bad option)."""
+    k = 2 if argv[:1] == ["--seed"] else 0
+    return argv[k] if k < len(argv) and argv[k] in VERBS else None
+
+
 def main(argv=None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(_named_verb(argv)).parse_args(argv)
         return args.func(args)
     except (InputError, PromiseViolated, ParamsViolation, NoValidCodeword,
             OraclePromiseViolated, NotReversible, MalformedConfiguration,

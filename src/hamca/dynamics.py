@@ -325,15 +325,31 @@ def site_average_weighted(data: OrbitSiteData, w: np.ndarray, d: int) -> np.ndar
     return rho
 
 
-def orbit_site_average(orbit: Orbit, h: LocalHamiltonian, t) -> np.ndarray:
+def orbit_site_average(orbit: Orbit, h: LocalHamiltonian, t, keep=None):
     """Space-averaged site state at time ``t``; for an array of times, the
-    (T, d, d) stack of them, from one pass over the orbit."""
+    (T, d, d) stack of them, from one pass over the orbit.
+
+    With ``keep`` (site-value codes), the states are built on the block of
+    the values the orbit occupies plus ``keep`` only, as the decide scan
+    builds its own: the result is ``(values, states)``, ``values`` the
+    sorted codes of the block and ``states`` (..., s, s) over them.  Every
+    entry outside the block is exactly 0, so nothing d x d is built.
+    """
     data = orbit_site_data(orbit, h)
     amps = orbit_spectrum(orbit).amplitudes(np.atleast_1d(t))
-    rho = np.zeros((len(amps), h.site_dim, h.site_dim), dtype=complex)
+    if keep is not None:
+        occupied = data.hist.any(axis=0)
+        occupied[list(keep)] = True
+        values = np.flatnonzero(occupied)
+        at = np.searchsorted(values, data.cross[:, 2:])
+        data = OrbitSiteData(data.J, data.n_sites, data.hist[:, values],
+                             np.concatenate([data.cross[:, :2], at], axis=1))
+    s = data.hist.shape[1]
+    rho = np.zeros((len(amps), s, s), dtype=complex)
     c = data.cross
     add_site_states(rho, data, np.abs(amps) ** 2, amps[:, c[:, 0]] * np.conj(amps[:, c[:, 1]]))
-    return rho if np.ndim(t) else rho[0]
+    rho = rho if np.ndim(t) else rho[0]
+    return rho if keep is None else (values, rho)
 
 
 def longterm_site_average(

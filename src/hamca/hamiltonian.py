@@ -269,8 +269,12 @@ class OrbitSpectrum:
 
     Dead-end orbits carry the J-site path spectrum 2cos(k pi/(J+1)) with sine
     eigenvectors; cyclic orbits carry the circulant spectrum 2cos(2 pi k/J)
-    with Fourier eigenvectors.  The J x J eigenvector matrix is built on
-    first use, so reading the eigenvalues costs O(J).
+    with Fourier eigenvectors.  ``amplitudes`` sums over those eigenvectors
+    by a fast transform, a type-I sine transform for a dead end and an
+    inverse DFT for a cycle, in O(T J log J) time and O(T J) memory.  The
+    J x J eigenvector matrix is built only for a caller that hands in phase
+    rows of its own (the decide scan, whose orbits are short), so reading
+    the eigenvalues costs O(J).
     """
 
     kind: str  # "dead_end" or "cycle"
@@ -298,19 +302,47 @@ class OrbitSpectrum:
         j = np.arange(J)[:, None]
         return np.exp(2j * np.pi * k[None, :] * j / J) / np.sqrt(J)
 
+    @cached_property
+    def first_row(self) -> np.ndarray:
+        """conj(<1|v_k>) in closed form: row 0 of ``vectors``, conjugated,
+        without the matrix."""
+        J = self.length
+        if self.kind == "dead_end":
+            return np.sqrt(2.0 / (J + 1)) * np.sin(np.arange(1, J + 1) * np.pi / (J + 1))
+        return np.full(J, 1 / np.sqrt(J))
+
     def phases(self, ts) -> np.ndarray:
         """Rows e^{-i t lambda_k} conj(<1|v_k>) for every t in ``ts``, shape
         (T, J): the amplitudes are these rows through the eigenvectors."""
-        return np.exp(-1j * np.outer(ts, self.eigenvalues)) * np.conj(self.vectors[0])
+        return np.exp(-1j * np.outer(ts, self.eigenvalues)) * self.first_row
 
     def amplitudes(self, ts, phases=None) -> np.ndarray:
         """<j| exp(-i t H) |1> for every t in ``ts`` and j = 1..J, shape (T, J).
 
         ``phases`` are the rows ``phases(ts)``, for a caller that holds them
-        already (the decide scan builds them from tables of its grid)."""
-        if phases is None:
-            phases = self.phases(ts)
-        return phases @ self.vectors.T
+        already (the decide scan builds them from tables of its grid); they
+        go through the eigenvector matrix.  Otherwise the sum over k is a
+        transform of one length-J row per time: for a cycle
+        (1/J) sum_k e^{-i t lambda_k} e^{2 pi i j k/J}, an inverse DFT; for
+        a dead end sum_k x_k sin(j k theta) with theta = pi/(J+1) and
+        x_k = (2/(J+1)) sin(k theta) e^{-i t lambda_k}, a type-I sine
+        transform, taken as i/2 times the DFT of the odd extension
+        (0, x, 0, -reversed x) of length 2(J+1).
+        """
+        if phases is not None:
+            return phases @ self.vectors.T
+        # imported here: its first import costs about 2 ms, which only the
+        # callers of the transform should pay
+        from numpy import fft
+
+        waves = np.exp(-1j * np.outer(ts, self.eigenvalues))
+        J = self.length
+        if self.kind == "cycle":
+            return fft.ifft(waves, axis=1)
+        odd = np.zeros((len(waves), 2 * (J + 1)), dtype=complex)
+        np.multiply(waves, np.sqrt(2.0 / (J + 1)) * self.first_row, out=odd[:, 1 : J + 1])
+        np.negative(odd[:, J:0:-1], out=odd[:, J + 2 :])
+        return 0.5j * fft.fft(odd, axis=1)[:, 1 : J + 1]
 
 
 def orbit_spectrum(orbit: Orbit) -> OrbitSpectrum:
@@ -330,8 +362,8 @@ def energy_gap_bound(orbit: Orbit | OrbitSpectrum) -> Fraction:
 
 
 def min_distinct_gap(eigenvalues: np.ndarray, tol: float = 1e-9) -> float:
-    """Smallest gap between eigenvalues that differ after rounding to
-    multiples of ``tol``; inf when they all round to one value.  The gaps
-    between distinct values are the positive differences of the sorted ones."""
-    steps = np.diff(np.sort(np.round(eigenvalues / tol) * tol))
-    return float(steps[steps > 0].min(initial=np.inf))
+    """Smallest difference of the sorted eigenvalues that exceeds ``tol``;
+    inf when none does.  Differences up to ``tol`` are taken for repeats of
+    one eigenvalue, not for gaps."""
+    steps = np.diff(np.sort(eigenvalues))
+    return float(steps[steps > tol].min(initial=np.inf))

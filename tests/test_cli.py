@@ -8,10 +8,17 @@ import numpy as np
 import pytest
 
 from hamca import __version__
-from hamca.cli import main
-from hamca.dynamics import orbit_site_average, run_orbit_cached, trace_distance
+from hamca.cli import VERBS, InputError, _dumps_with_state, _named_verb, build_parser, main
+from hamca.dynamics import (
+    basis_state,
+    coded_orbit,
+    orbit_site_average,
+    run_orbit_cached,
+    trace_distance,
+)
 from hamca.encoding import anchored_configuration, scattered_m_sites
 from hamca.hamiltonian import (
+    OrbitSpectrum,
     compile_machine,
     energy_gap_bound,
     min_distinct_gap,
@@ -67,7 +74,7 @@ def _gap_reference(spec, config, max_steps):
     """The gap JSON from the reference stepper's orbit, built as the verb
     builds it."""
     orbit = run_orbit(spec, config, max_steps)
-    gap = min_distinct_gap(orbit_spectrum(orbit).eigenvalues)
+    gap = min_distinct_gap(orbit_spectrum(orbit).eigenvalues, tol=1e-12)
     bound = energy_gap_bound(orbit)
     result = {
         "version": __version__,
@@ -123,6 +130,22 @@ def test_gap_long_orbit_within_budget(tmp_path):
     assert (data["J"], data["terminal"], data["satisfied"]) == (160405, "dead_end", True)
 
 
+@pytest.mark.parametrize("L, J, gap", [(300, 90305, 3.63e-9), (440, 194045, 7.86e-10)])
+def test_gap_reports_the_exact_smallest_gap(tmp_path, L, J, gap):
+    """Near and below 1e-9 the reported gap is the smallest step of the
+    sorted spectrum, not a value rounded to multiples of 1e-9 (4.0e-9 and
+    1.0e-9 at these sizes) nor the next step past a 1e-9 tolerance."""
+    out = tmp_path / "gap.json"
+    assert run(["gap", "--inner", "halt_now", "--variant", "two-way-amp",
+                "--no-decode", "--L", str(L), "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    lam = OrbitSpectrum.of("dead_end", J).eigenvalues
+    assert data["J"] == J
+    assert data["min_distinct_gap"] == float(np.diff(np.sort(lam)).min())
+    assert data["min_distinct_gap"] == pytest.approx(gap, rel=1e-3)
+    assert data["satisfied"] is True
+
+
 def test_evolve_deterministic(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["evolve", "--inner", "halt_now", "--variant", "one-way-amp",
@@ -159,6 +182,38 @@ def test_evolve_rows_match_per_time_average(tmp_path):
                 rho[i1, i2].imag, trace_distance(rho, e1)]
         # rows carry 12 significant digits
         assert np.allclose([t, p1, p2, re12, im12, dist], want, rtol=1e-11, atol=1e-12)
+
+
+def _dense_evolve_rows(spec, L, ts):
+    """The evolve columns from full d x d site states and d x d targets."""
+    h = compile_machine(spec)
+    orbit = coded_orbit(h, anchored_configuration(spec, L), 10_000)
+    i1, i2 = h.value_index(a_cell("a1")), h.value_index(a_cell("a2"))
+    e1 = basis_state(h, a_cell("a1"))
+    mix = 0.5 * (e1 + basis_state(h, a_cell("a2")))
+    rhos = orbit_site_average(orbit, h, ts)
+    return np.column_stack([ts, rhos[:, i1, i1].real, rhos[:, i2, i2].real,
+                            rhos[:, i1, i2].real, rhos[:, i1, i2].imag,
+                            trace_distance(rhos, e1), trace_distance(rhos, mix)])
+
+
+@pytest.mark.parametrize("argv, spec, L", [
+    (["--inner", "halt_now", "--variant", "two-way-amp", "--no-decode"],
+     build_staged_machine("halt_now", "two-way-amp", include_decode=False), 16),
+    (["--machine", "shuttle.json"], shuttle_machine(), 19),
+])
+def test_evolve_block_rows_match_the_dense_route(tmp_path, argv, spec, L):
+    """The rows evolve computes on the occupied block equal the d x d route,
+    on a dead end and on the shuttle cycle."""
+    (tmp_path / "shuttle.json").write_text(json.dumps(spec_to_json(shuttle_machine())))
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    out = tmp_path / "e.csv"
+    assert run(["evolve"] + argv + ["--L", str(L), "--out", str(out)]) == 0
+    rows = np.array([[float(x) for x in ln.split(",")]
+                     for ln in out.read_text().splitlines() if ln[0].isdigit()])
+    want = _dense_evolve_rows(spec, L, np.linspace(0.0, 20.0, 41))
+    # rows carry 12 significant digits
+    assert np.allclose(rows, want, rtol=1e-11, atol=1e-12)
 
 
 _INSTANCE = {"inner": "halt_now", "variant": "one-way-amp", "decode": False,
@@ -286,6 +341,103 @@ def test_timeavg_verb(tmp_path):
                 "--no-decode", "--L", "4", "--out", str(out)]) == 0
     data = json.loads(out.read_text())
     assert abs(sum(row[i][0] for i, row in enumerate(data["state"])) - 1) < 1e-9
+
+
+@pytest.mark.parametrize("argv", [
+    ["--inner", "halt_now", "--variant", "two-way-amp", "--no-decode", "--L", "40"],
+    ["--inner", "halt_now", "--variant", "two-way-amp", "--no-decode", "--L", "60"],
+    ["--machine", "shuttle.json", "--L", "19"],
+])
+def test_timeavg_bytes_are_json_dumps(tmp_path, argv):
+    """The state writer gives the bytes of json.dumps(indent=1, sort_keys=True)
+    on dead-end orbits and on a cycle."""
+    (tmp_path / "shuttle.json").write_text(json.dumps(spec_to_json(shuttle_machine())))
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    out = tmp_path / "avg.json"
+    assert run(["timeavg"] + argv + ["--out", str(out)]) == 0
+    text = out.read_text()
+    data = json.loads(text)
+    # floats round-trip exactly through their repr, so re-encoding gives the
+    # bytes json.dumps wrote for the same payload
+    assert text == json.dumps(data, indent=1, sort_keys=True) + "\n"
+
+
+def test_state_writer_matches_json_dumps():
+    """Complex off-diagonal entries (the shuttle cycle's site state at
+    t = 1.3), signs, zeros and exponents are spelled as json spells them."""
+    spec = shuttle_machine()
+    h = compile_machine(spec)
+    orbit = run_orbit_cached(anchored_configuration(spec, 19), h, 10_000)
+    shuttle = orbit_site_average(orbit, h, 1.3)
+    off = shuttle - np.diag(np.diag(shuttle))
+    assert orbit.kind == "cycle" and np.abs(off.imag).max() > 1e-3
+    odd = np.array([[1.0, -0.0 + 2.5e-17j, 1e-310], [1e300 - 3j, 0.1 + 0.2, -7.0]])
+    payload = {"zeta": [1, {"b": 2, "a": "x"}], "J": 3, "dist": 0.1 + 0.2}
+    for rho in (shuttle, odd):
+        state = [[[v.real, v.imag] for v in row] for row in rho]
+        want = json.dumps({**payload, "state": state}, indent=1, sort_keys=True)
+        assert _dumps_with_state(payload, rho) == want
+
+
+def _stdout_of(parse, capsys):
+    """What a parse printed and the code it exited with."""
+    with pytest.raises(SystemExit) as exc:
+        parse()
+    return capsys.readouterr().out, exc.value.code
+
+
+def test_help_lists_every_verb(capsys):
+    """``hamca --help`` is the full parser's help, with every verb and its
+    help line."""
+    text, code = _stdout_of(lambda: main(["--help"]), capsys)
+    assert code == 0
+    assert text == build_parser().format_help()
+    for verb, (help_line, _) in VERBS.items():
+        assert verb in text and help_line in text
+
+
+@pytest.mark.parametrize("verb", list(VERBS))
+def test_verb_help_matches_the_full_parser(capsys, verb):
+    """Each verb's --help exits 0 and prints what the full parser prints."""
+    text, code = _stdout_of(lambda: main([verb, "--help"]), capsys)
+    assert code == 0 and text.startswith(f"usage: hamca {verb}")
+    full, _ = _stdout_of(lambda: build_parser().parse_args([verb, "--help"]), capsys)
+    assert text == full
+
+
+def test_parse_errors_keep_their_message(capsys):
+    """An unknown verb and a bad option exit 2 with the one-line message of
+    the full parser."""
+    with pytest.raises(InputError) as exc:
+        build_parser().parse_args(["bogus"])
+    assert str(exc.value).startswith("hamca: argument verb: invalid choice: 'bogus'")
+    cases = [(["bogus"], str(exc.value)),
+             (["evolve", "--bogus"], "hamca: unrecognized arguments: --bogus"),
+             (["--seed", "3", "evolve", "--L", "x"],
+              "hamca evolve: argument --L: invalid int value: 'x'"),
+             (["--seed", "x", "evolve"], "hamca: argument --seed: invalid int value: 'x'")]
+    for argv, message in cases:
+        assert run(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, verb", [
+    (["--seed", "3", "timeavg", "--L", "40", "--out", "x.json"], "timeavg"),
+    (["timeavg", "--L", "40"], "timeavg"),
+    (["--seed=3", "timeavg", "--L", "40"], None),
+    (["--seed"], None),
+    (["decide", "inst.json", "--t0-override", "5"], "decide"),
+    (["--se", "3", "timeavg"], None),
+    (["--help", "timeavg"], None),
+    ([], None),
+])
+def test_one_verb_parser_parses_as_the_full_one(argv, verb):
+    """The verb is read off the line first or past ``--seed N`` only; what
+    the one-verb parser makes of the line is what the full parser makes of
+    it."""
+    assert _named_verb(argv) == verb
+    if verb is not None:
+        assert vars(build_parser(verb).parse_args(argv)) == vars(build_parser().parse_args(argv))
 
 
 def test_timeavg_cycle_kernel_guard_exit_3(tmp_path, capsys):

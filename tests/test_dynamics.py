@@ -181,6 +181,29 @@ def test_site_average_matches_dense(oneway, h_oneway, rng):
         assert np.abs(rho_orbit - rho_dense).max() < 1e-9
 
 
+@pytest.mark.parametrize("machine, L", [("twoway_nd", 16), ("shuttle", 19)])
+def test_block_states_equal_the_full_states(request, machine, L):
+    """The states on the block of occupied values plus ``keep`` are the
+    full d x d states on that block, and the full states are exactly zero
+    off it, on a dead end and on the shuttle cycle."""
+    spec = request.getfixturevalue(machine)
+    h = compile_machine(spec)
+    orbit = coded_orbit(h, anchored_configuration(spec, L), 10_000)
+    ts = np.linspace(0.0, 20.0, 41)
+    keep = (h.value_index(a_cell("a1")), h.value_index(a_cell("a2")))
+    values, block = orbit_site_average(orbit, h, ts, keep=keep)
+    full = orbit_site_average(orbit, h, ts)
+    occupied = np.flatnonzero(orbit_site_data(orbit, h).hist.any(axis=0))
+    assert values.tolist() == sorted(set(occupied.tolist()) | set(keep))
+    assert len(values) < h.site_dim
+    inside = np.zeros(h.site_dim, dtype=bool)
+    inside[values] = True
+    assert not full[:, ~inside].any() and not full[:, :, ~inside].any()
+    assert np.abs(full[:, values[:, None], values] - block).max() < 1e-15
+    at, one = orbit_site_average(orbit, h, ts[3], keep=keep)
+    assert np.array_equal(at, values) and np.abs(one - block[3]).max() < 1e-15
+
+
 def test_longterm_matches_spectral_projections(oneway, h_oneway):
     cfg = anchored_configuration(oneway, 5, {3: (0, 1)})
     lt, _ = longterm_site_average(oneway, h_oneway, cfg, 10_000)

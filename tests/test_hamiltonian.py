@@ -223,37 +223,87 @@ def test_spectrum_matches_dense_matrices():
 
 
 def test_eigenvector_first_row_normalized():
-    spec = orbit_spectrum(Orbit(tuple([None] * 40), ("dead_end", 40)))
-    assert abs((spec.vectors[0] ** 2).sum() - 1.0) < 1e-12
+    """The closed-form first row is a unit vector, and it is row 0 of the
+    eigenvector matrix, conjugated."""
+    for kind, J in (("dead_end", 40), ("cycle", 40), ("cycle", 7)):
+        spec = OrbitSpectrum.of(kind, J)
+        assert abs((np.abs(spec.first_row) ** 2).sum() - 1.0) < 1e-12
+        assert np.array_equal(spec.first_row, np.conj(spec.vectors[0]))
+
+
+def _dense_amplitudes(kind, J, ts):
+    """<j| exp(-i t H) |1> summed term by term over the written-out
+    eigenvectors: sines on the path, Fourier modes on the cycle."""
+    if kind == "dead_end":
+        theta = np.pi / (J + 1)
+        k = np.arange(1, J + 1)
+        j = np.arange(1, J + 1)[:, None, None]
+        terms = ((2 / (J + 1)) * np.sin(k * theta) * np.sin(j * k * theta)
+                 * np.exp(-2j * np.outer(ts, np.cos(k * theta))))
+    else:
+        k = np.arange(J)
+        j = np.arange(J)[:, None, None]
+        terms = (np.exp(2j * np.pi * j * k / J)
+                 * np.exp(-2j * np.outer(ts, np.cos(2 * np.pi * k / J))) / J)
+    return terms.sum(axis=-1).T
+
+
+def test_amplitudes_match_dense_formulas():
+    """The transform route equals the written-out sums to 1e-12, for
+    J = 1..64 of both kinds, and so does the eigenvector route the decide
+    scan takes with phase rows of its own."""
+    ts = np.linspace(0.0, 37.0, 11)
+    for kind in ("dead_end", "cycle"):
+        for J in range(1, 65):
+            spec = OrbitSpectrum.of(kind, J)
+            want = _dense_amplitudes(kind, J, ts)
+            assert np.abs(spec.amplitudes(ts) - want).max() < 1e-12, (kind, J)
+            got = spec.amplitudes(ts, spec.phases(ts))
+            assert np.abs(got - want).max() < 1e-12, (kind, J)
 
 
 def test_spectrum_vectors_built_on_first_use():
-    """The eigenvalues come without the J x J matrix; the vectors, once
-    asked for, are orthonormal eigenvectors of the path and the cycle."""
+    """The eigenvalues, the phase rows and the transform amplitudes come
+    without the J x J matrix; only amplitudes of given phase rows (the
+    decide scan's input) build it, as orthonormal eigenvectors of the path
+    and the cycle."""
+    ts = np.array([0.0, 1.5])
     for kind, J in (("dead_end", 9), ("cycle", 8)):
         spec = OrbitSpectrum.of(kind, J)
         assert min_distinct_gap(spec.eigenvalues) > 0
+        amps = spec.amplitudes(ts)
         assert "vectors" not in vars(spec)
+        assert np.abs(spec.amplitudes(ts, spec.phases(ts)) - amps).max() < 1e-12
         hop = np.diag(np.ones(J - 1), 1)
         if kind == "cycle":
             hop[-1, 0] = 1
         vecs = spec.vectors
-        assert spec.vectors is vecs
+        assert vars(spec)["vectors"] is vecs
         assert np.abs((hop + hop.T) @ vecs - vecs * spec.eigenvalues).max() < 1e-12
         assert np.abs(vecs.conj().T @ vecs - np.eye(J)).max() < 1e-12
 
 
-def test_min_distinct_gap_matches_unique_route():
-    """Positive differences of the sorted rounded values: the same number as
-    the gaps between np.unique's distinct values, repeats included."""
+def test_min_distinct_gap_is_the_smallest_step_above_tol():
+    """The smallest difference of the sorted values that exceeds the
+    tolerance: repeats within it are skipped, and no rounding moves a gap
+    near it (a gap of 1.6e-9 reads as such, not as the 1e-9 or 2e-9 that
+    rounding to multiples of 1e-9 gave)."""
+    assert min_distinct_gap(np.array([1.0])) == np.inf
+    assert min_distinct_gap(np.array([0.5, 0.5])) == np.inf
+    assert min_distinct_gap(np.array([2.0, -1.0, 2.0 + 4e-10, 0.0])) == 1.0
+    assert min_distinct_gap(np.array([0.0, 3.0, 1.6e-9])) == 1.6e-9
+    assert min_distinct_gap(np.array([0.0, 0.9e-9, 3.0])) == 3.0 - 0.9e-9
     rng = np.random.default_rng(3)
-    cases = [np.array([1.0]), np.array([0.5, 0.5]), np.array([2.0, -1.0, 2.0 + 4e-10, 0.0])]
-    cases += [rng.integers(0, 9, 30) * 0.25 + rng.normal(0, 1e-11, 30) for _ in range(20)]
-    cases += [OrbitSpectrum.of(kind, J).eigenvalues for kind in ("dead_end", "cycle")
-              for J in (1, 2, 7, 40)]
-    for lam in cases:
-        distinct = np.unique(np.round(lam / 1e-9) * 1e-9)
-        assert min_distinct_gap(lam) == float(np.diff(distinct).min(initial=np.inf))
+    for _ in range(20):
+        grid = rng.integers(0, 9, 30)
+        lam = grid * 0.25 + rng.normal(0, 1e-11, 30)
+        want = np.diff(np.unique(grid) * 0.25).min(initial=np.inf)
+        assert min_distinct_gap(lam) == pytest.approx(want, abs=1e-9)
+    for kind in ("dead_end", "cycle"):
+        for J in (2, 7, 40):
+            lam = OrbitSpectrum.of(kind, J).eigenvalues
+            steps = np.diff(np.sort(lam))
+            assert min_distinct_gap(lam) == steps[steps > 1e-9].min()
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

@@ -348,9 +348,8 @@ def _per_member_gap(avger):
         lams = np.array([0.0])
         for orbit in blocks:
             lams = (lams[:, None] + orbit_spectrum(orbit).eigenvalues[None, :]).ravel()
-        lams = np.unique(np.round(np.sort(lams) / 1e-9) * 1e-9)
-        if len(lams) > 1:
-            worst = min(worst, float(np.diff(lams).min()))
+        steps = np.diff(np.sort(lams))
+        worst = min(worst, float(steps[steps > 1e-9].min(initial=np.inf)))
     return worst
 
 
