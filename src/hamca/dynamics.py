@@ -233,7 +233,9 @@ def _one_site_pairs(h: LocalHamiltonian, arr_a: np.ndarray, arr_b: np.ndarray, o
     the rows of several orbits, ``orbit_of_row`` numbers each row's orbit and
     the buckets are (orbit, control site), so no pair joins two orbits.  The
     pairs are built and compared in slices of about ``_PAIR_CELLS`` cells, so
-    short orbits take one pass.
+    short orbits take one pass.  Each pair is compared as the XOR of its two
+    rows packed into 64-bit words (``_words``), so the differing sites of a
+    pair are the nonzero cells of that XOR.
     """
     is_ctrl = h.step_table.is_control
     site_b = is_ctrl[arr_b].argmax(axis=1) + arr_b.shape[1] * orbit_of_row
@@ -246,6 +248,8 @@ def _one_site_pairs(h: LocalHamiltonian, arr_a: np.ndarray, arr_b: np.ndarray, o
     # numbered from start[j] in one running count
     start = np.cumsum(size) - size
     step = max(1, _PAIR_CELLS // arr_a.shape[1])
+    words_a, cell_bit = _words(arr_a)
+    words_b = words_a if arr_b is arr_a else _words(arr_b)[0]
     same, one = [], []
     j = 0
     while j < len(arr_a):
@@ -255,47 +259,51 @@ def _one_site_pairs(h: LocalHamiltonian, arr_a: np.ndarray, arr_b: np.ndarray, o
         b = order[np.repeat(lo[j:k] - start[j:k], count)
                   + np.arange(start[j], start[j] + count.sum())]
         j = k
-        diff = arr_a[a] != arr_b[b]
-        hits = diff.sum(axis=1)
+        # one bit per differing cell, at its first byte: the bits of each
+        # byte of the XOR ORed down to bit 0 of the byte, then the bytes of a
+        # cell ORed down to its first byte
+        y = words_a[a] ^ words_b[b]
+        for shift in (4, 2, 1) + tuple(range(8, 8 * arr_a.itemsize, 8)):
+            y |= y >> np.uint64(shift)
+        y &= cell_bit
+        # each word's bits summed in its top byte
+        word_hits = (y * _BYTE_ONES) >> np.uint64(56)
+        hits = word_hits.sum(axis=1)
         at = np.nonzero(hits == 0)[0]
         same.append((a[at], b[at]))
         at = np.nonzero(hits == 1)[0]
-        a, b, i = a[at], b[at], diff[at].argmax(axis=1)
+        a, b, y, word_hits = a[at], b[at], y[at], word_hits[at]
+        # a word with one bit, at byte k, times a word whose byte k holds
+        # 7 - k holds k in its top byte; the one word with a bit gives the byte
+        byte = word_hits * (8 * np.arange(y.shape[1], dtype=np.uint64)
+                            + ((y * _BYTE_RANKS) >> np.uint64(56)))
+        i = (byte.sum(axis=1) // arr_a.itemsize).astype(np.intp)
         one.append((a, b, arr_a[a, i], arr_b[b, i]))
     return tuple(map(np.concatenate, zip(*same))), tuple(map(np.concatenate, zip(*one)))
 
 
-def batch_site_data(orbits, h: LocalHamiltonian) -> list:
-    """``orbit_site_data`` of each orbit, from one ``_one_site_pairs`` pass
-    per lattice width: the rows of the orbits of one width are stacked and
-    bucketed by (orbit, control site), then split back per orbit, each in
-    its own (j, j') order."""
-    arrs = [_coded(orbit, h) for orbit in orbits]
-    by_width = {}
-    for k, arr in enumerate(arrs):
-        by_width.setdefault(arr.shape[1], []).append(k)
-    d = h.site_dim
-    out = [None] * len(arrs)
-    for n, ks in by_width.items():
-        arr = np.concatenate([arrs[k] for k in ks])
-        lengths = [len(arrs[k]) for k in ks]
-        first = np.cumsum(lengths) - lengths  # each orbit's first stacked row
-        which = np.repeat(np.arange(len(ks)), lengths)
-        R = len(arr)
-        hist = np.bincount((np.arange(R)[:, None] * d + arr).ravel(), minlength=R * d)
-        _, (ja, jb, va, vb) = _one_site_pairs(h, arr, arr, which)
-        base = first[which[ja]]
-        cross = np.stack([ja - base, jb - base, va, vb], axis=1)
-        hists = np.split(hist.reshape(R, d), first[1:])
-        crosses = np.split(cross, np.searchsorted(ja, first[1:]))
-        for k, hist_k, cross_k in zip(ks, hists, crosses):
-            out[k] = OrbitSiteData(J=len(hist_k), n_sites=n, hist=hist_k, cross=cross_k)
-    return out
+_BYTE_ONES = np.uint64(0x0101010101010101)
+_BYTE_RANKS = np.uint64(0x0001020304050607)
+
+
+def _words(arr: np.ndarray):
+    """Rows of site-value codes packed into little-endian 64-bit words, zero
+    padded, and the word with one bit at the first byte of every cell."""
+    size = arr.shape[1] * arr.itemsize
+    packed = np.zeros((len(arr), -(-size // 8) * 8), dtype=np.uint8)
+    packed[:, :size] = np.ascontiguousarray(arr).view(np.uint8)
+    cell_bit = sum(1 << 8 * k for k in range(0, 8, arr.itemsize))
+    return packed.view("<u8"), np.uint64(cell_bit)
 
 
 def orbit_site_data(orbit, h: LocalHamiltonian) -> OrbitSiteData:
     """Histogram and cross pairs of an orbit, its rows in (j, j') order."""
-    return batch_site_data([orbit], h)[0]
+    arr = _coded(orbit, h)
+    J, n = arr.shape
+    d = h.site_dim
+    hist = np.bincount((np.arange(J)[:, None] * d + arr).ravel(), minlength=J * d)
+    _, (ja, jb, va, vb) = _one_site_pairs(h, arr, arr)
+    return OrbitSiteData(J, n, hist.reshape(J, d), np.stack([ja, jb, va, vb], axis=1))
 
 
 def add_site_states(
@@ -514,6 +522,183 @@ def coded_orbit(
         kind = "truncated"
     rows = np.array(flat, dtype=_row_dtype(h)).reshape(-1, n)
     return CodedOrbit(rows, (kind, len(rows)))
+
+
+@dataclass
+class StackedOrbits:
+    """Forward orbits of many configurations of one width, stacked step-major.
+
+    ``rows`` (R, n) holds the site-value codes of every step of every orbit:
+    all first steps, then all second steps, and so on, each step's rows in
+    orbit order.  ``orbit`` and ``step`` give each row's orbit and 0-based
+    step, ``length`` and ``kind`` each orbit's J and terminal, ``kind`` as
+    codes into ``KINDS``.
+    """
+
+    rows: np.ndarray
+    orbit: np.ndarray
+    step: np.ndarray
+    length: np.ndarray
+    kind: np.ndarray
+
+
+KINDS = ("dead_end", "cycle", "truncated")
+
+
+def lockstep_orbits(
+    h: LocalHamiltonian, rows: np.ndarray, sites: np.ndarray, periodic: bool, max_steps: int
+) -> StackedOrbits:
+    """``coded_orbit`` of every row of ``rows`` at once.
+
+    ``rows`` (m, n) are the codes of single-control configurations of one
+    width and boundary, the control of row k at ``sites[k]``; a row with
+    site -1 holds no control and is a dead end of one step.  Each step is a
+    few array operations on the rows still running, through the dense arrays
+    ``h.step_arrays``, and a row stops where ``coded_orbit`` stops: at a
+    dead end, on return to its start row (a cycle; the return is not
+    stored), or after ``max_steps`` steps (truncated, with max_steps + 1
+    rows).  Per step this costs tens of microseconds against a few for one
+    ``coded_orbit`` step, so it pays only for many rows; ``coded_orbit``
+    stays the stepper of single orbits.
+    """
+    move, jump, ok, at_i, at_k = h.step_arrays
+    m, n = rows.shape
+    live = np.flatnonzero(sites >= 0)
+    cur, at = rows[live], sites[live]
+    start, at0 = cur, at
+    base = n * np.arange(len(live))
+    out_rows, out_orbit = [rows], [np.arange(m)]
+    kind = np.zeros(m, dtype=np.int8)
+    for _ in range(max_steps):
+        if not len(live):
+            break
+        flat = cur.reshape(-1)
+        c = flat[base + at]
+        # no step off an open end, for a control without a move (move 0),
+        # where a one-site ring's control would meet itself, or for a
+        # read-write pair without a rule
+        k = at + move[c]
+        if periodic:
+            k %= n
+            go = k != at
+        else:
+            go = (k != at) & (0 <= k) & (k < n)
+            k = np.clip(k, 0, n - 1)
+        x = flat[base + k]
+        go &= ok[c, x]
+        if not go.all():
+            keep = np.flatnonzero(go)
+            live, at, at0, start, cur = live[keep], at[keep], at0[keep], start[keep], cur[keep]
+            c, k, x, base = c[keep], k[keep], x[keep], base[: len(keep)]
+        else:
+            cur = cur.copy()
+        flat = cur.reshape(-1)
+        flat[base + at] = at_i[c, x]
+        flat[base + k] = at_k[c, x]
+        at = np.where(jump[c], k, at)
+        back = np.flatnonzero(at == at0)
+        if len(back):
+            back = back[(cur[back] == start[back]).all(axis=1)]
+        if len(back):
+            kind[live[back]] = KINDS.index("cycle")
+            keep = np.ones(len(live), dtype=bool)
+            keep[back] = False
+            live, at, at0, start, cur = live[keep], at[keep], at0[keep], start[keep], cur[keep]
+            base = base[: len(live)]
+        out_rows.append(cur)
+        out_orbit.append(live)
+    else:
+        kind[live] = KINDS.index("truncated")
+    sizes = [len(o) for o in out_orbit]
+    orbit = np.concatenate(out_orbit)
+    return StackedOrbits(
+        rows=np.concatenate(out_rows),
+        orbit=orbit,
+        step=np.repeat(np.arange(len(sizes)), sizes),
+        length=np.bincount(orbit, minlength=m),
+        kind=kind,
+    )
+
+
+def _member_parts(h: LocalHamiltonian, codes: np.ndarray, periodic: bool):
+    """The parts ``member_orbit_terms`` splits each configuration into, on
+    the (M, n) codes of configurations of one width and boundary.
+
+    Returns one array per field of the parts: the row of each part's
+    configuration, its width, the site it starts at, its control site
+    within it (-1 for a control-free part) and whether it is a block of a
+    split configuration.  A configuration with at most one control is one
+    part; one with several is cut at each control into blocks reaching up
+    to the next control (cyclically when periodic), plus, on an open
+    lattice, the control-free head left of its first control.
+    """
+    n = codes.shape[1]
+    ctrl = h.step_table.is_control[codes]
+    count = ctrl.sum(axis=1)
+    whole = np.flatnonzero(count <= 1)
+    sites = [np.where(count[whole] == 1, ctrl[whole].argmax(axis=1), -1)]
+    members, widths = [whole], [np.full(len(whole), n)]
+    starts, split = [np.zeros(len(whole), dtype=np.intp)], [np.zeros(len(whole), dtype=bool)]
+    row, site = np.nonzero(ctrl[count > 1])
+    if len(row):
+        row = np.flatnonzero(count > 1)[row]
+        first = np.ones(len(row), dtype=bool)
+        first[1:] = row[1:] != row[:-1]
+        # each block runs to the next control of its row; the last one to the
+        # first control one lattice on (periodic) or to the lattice end
+        end = np.append(site[1:], 0)
+        last = np.append(first[1:], True)
+        end[last] = site[first] + n if periodic else n
+        heads = first & (site > 0) & (not periodic)
+        members += [row, row[heads]]
+        widths += [end - site, site[heads]]
+        starts += [site, np.zeros(heads.sum(), dtype=np.intp)]
+        sites += [np.zeros(len(row), dtype=np.intp), np.full(heads.sum(), -1)]
+        split += [np.ones(len(row) + heads.sum(), dtype=bool)]
+    members, widths, starts, sites, split = map(
+        np.concatenate, (members, widths, starts, sites, split))
+    return members, widths, starts, sites, split
+
+
+def stacked_member_orbits(h: LocalHamiltonian, members, max_steps: int) -> list:
+    """The orbits ``member_orbit_terms`` gives for every configuration of
+    ``members`` [(Configuration, weight)], stepped in lockstep.
+
+    The configurations of one width and boundary are encoded in one
+    ``h.encode`` call and split by ``_member_parts``; the parts of one width
+    and boundary are stepped by one ``lockstep_orbits`` call.  Returns one
+    (StackedOrbits, member, weight) triple per such group, giving per orbit
+    the index of its configuration in ``members`` and the weight
+    w * part width / lattice width it enters the space average with.  The
+    block refusal of ``member_orbit_terms`` is raised on the stacked rows.
+    """
+    by_kind = {}
+    for k, (cfg, _) in enumerate(members):
+        by_kind.setdefault((cfg.size, cfg.boundary), []).append(k)
+    weights = np.array([float(w) for _, w in members])
+    refuses = np.zeros(h.site_dim, dtype=bool)  # shift-mode controls that move left
+    refuses[[c for c, (_, by) in h.step_table.shift_next.items() if by == -1]] = True
+    out = []
+    for (n, boundary), ks in by_kind.items():
+        codes = h.encode((members[k][0].cells for k in ks), _row_dtype(h))
+        member, width, start, site, split = _member_parts(h, codes, boundary == "periodic")
+        for w, part_split in sorted(set(zip(width.tolist(), split.tolist()))):
+            at = np.flatnonzero((width == w) & (split == part_split))
+            cols = (start[at, None] + np.arange(w)) % n
+            orbits = lockstep_orbits(h, codes[member[at, None], cols], site[at],
+                                     boundary == "periodic" and not part_split, max_steps)
+            if part_split:
+                # on the whole lattice a left shift off a block's start enters
+                # the neighbouring block, so the blocks interact
+                ends = orbits.step == orbits.length[orbits.orbit] - 1
+                last = orbits.rows[ends, 0][np.argsort(orbits.orbit[ends])]
+                if (refuses[last] & (orbits.kind == KINDS.index("dead_end"))).any():
+                    raise MalformedConfiguration(
+                        "block decomposition refused: a block orbit shifts left off its block"
+                    )
+            index = np.asarray(ks)[member[at]]
+            out.append((orbits, index, weights[index] * (w / n)))
+    return out
 
 
 def run_orbit_cached(cfg: Configuration, h: LocalHamiltonian, max_steps: int) -> Orbit:

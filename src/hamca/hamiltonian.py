@@ -9,7 +9,8 @@ initial configuration is exactly its orbit.
 
 ``_apply_at`` (behind ``apply_update_dagger`` and ``reachable_space``) and
 ``LocalHamiltonian.step_table`` (the pair maps in site-value codes, which
-``machine.run_stats`` and ``dynamics.coded_orbit`` step through)
+``machine.run_stats`` and ``dynamics.coded_orbit`` step through, and
+``dynamics.lockstep_orbits`` through its dense form ``step_arrays``)
 deliberately re-implement the stepping mechanics from the pair maps alone,
 so agreement with ``machine.step`` is a two-route check of the compilation,
 not a tautology.
@@ -52,6 +53,19 @@ class StepTable(NamedTuple):
     shift_next: dict  # shift-mode control -> (read-write control, +1 or -1)
     other: dict  # control -> the same state's control in the other mode
     is_control: np.ndarray  # bool per site-value code
+
+
+class StepArrays(NamedTuple):
+    """The pair maps as dense arrays over site-value codes, for the lockstep
+    stepper: control c at site i acts on site i + move[c] and moves there
+    where jump[c]; with x the code on that site, the step exists where
+    ok[c, x] and leaves at_i[c, x] on site i and at_k[c, x] on the other."""
+
+    move: np.ndarray  # (d,) +1 for a read-write control, the shift's +1 or -1, else 0
+    jump: np.ndarray  # (d,) bool
+    ok: np.ndarray  # (d, d) bool
+    at_i: np.ndarray  # (d, d) codes
+    at_k: np.ndarray  # (d, d) codes
 
 
 @dataclass(frozen=True)
@@ -109,6 +123,20 @@ class LocalHamiltonian:
         is_ctrl = np.zeros(self.site_dim, dtype=bool)
         is_ctrl[list(controls)] = True
         return StepTable(rw_next, shift_next, other, is_ctrl)
+
+    @cached_property
+    def step_arrays(self) -> StepArrays:
+        """``step_table`` as dense arrays, built once per Hamiltonian."""
+        rw_next, shift_next, _, _ = self.step_table
+        d = self.site_dim
+        move, jump = np.zeros(d, dtype=np.intp), np.zeros(d, dtype=bool)
+        ok = np.zeros((d, d), dtype=bool)
+        at_i, at_k = np.zeros((2, d, d), dtype=np.min_scalar_type(d - 1))
+        for (c, x), (c2, x2) in rw_next.items():
+            move[c], ok[c, x], at_i[c, x], at_k[c, x] = 1, True, c2, x2
+        for c, (c2, by) in shift_next.items():
+            move[c], jump[c], ok[c], at_i[c], at_k[c] = by, True, True, np.arange(d), c2
+        return StepArrays(move, jump, ok, at_i, at_k)
 
 
 def compile_machine(spec: MachineSpec, boundary: str = "periodic") -> LocalHamiltonian:
@@ -272,9 +300,9 @@ class OrbitSpectrum:
     with Fourier eigenvectors.  ``amplitudes`` sums over those eigenvectors
     by a fast transform, a type-I sine transform for a dead end and an
     inverse DFT for a cycle, in O(T J log J) time and O(T J) memory.  The
-    J x J eigenvector matrix is built only for a caller that hands in phase
-    rows of its own (the decide scan, whose orbits are short), so reading
-    the eigenvalues costs O(J).
+    J x J eigenvector matrix ``vectors`` is built only for the decide scan,
+    which takes its phase rows from a table of its grid through it (its
+    orbits are short), so reading the eigenvalues costs O(J).
     """
 
     kind: str  # "dead_end" or "cycle"
@@ -316,21 +344,17 @@ class OrbitSpectrum:
         (T, J): the amplitudes are these rows through the eigenvectors."""
         return np.exp(-1j * np.outer(ts, self.eigenvalues)) * self.first_row
 
-    def amplitudes(self, ts, phases=None) -> np.ndarray:
-        """<j| exp(-i t H) |1> for every t in ``ts`` and j = 1..J, shape (T, J).
+    def amplitudes(self, ts) -> np.ndarray:
+        """<j| exp(-i t H) |1> for every t in ``ts`` and j = 1..J, shape (T, J):
+        the rows ``phases(ts)`` through the eigenvectors.
 
-        ``phases`` are the rows ``phases(ts)``, for a caller that holds them
-        already (the decide scan builds them from tables of its grid); they
-        go through the eigenvector matrix.  Otherwise the sum over k is a
-        transform of one length-J row per time: for a cycle
+        The sum over k is a transform of one length-J row per time: for a cycle
         (1/J) sum_k e^{-i t lambda_k} e^{2 pi i j k/J}, an inverse DFT; for
         a dead end sum_k x_k sin(j k theta) with theta = pi/(J+1) and
         x_k = (2/(J+1)) sin(k theta) e^{-i t lambda_k}, a type-I sine
         transform, taken as i/2 times the DFT of the odd extension
         (0, x, 0, -reversed x) of length 2(J+1).
         """
-        if phases is not None:
-            return phases @ self.vectors.T
         # imported here: its first import costs about 2 ms, which only the
         # callers of the transform should pay
         from numpy import fft

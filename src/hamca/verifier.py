@@ -9,17 +9,21 @@ certifies the escape, and on escaping instances some grid eventually fires.
 
 One grid scan, ``_grid_fires``, serves the finite and the semi-decision; it
 makes one ``states_at`` call and one batched check per chunk of grid points.
-Each member orbit is stepped once, by the instance's ``averager``.  The scan
-works in the basis of the s site values the ensemble occupies (plus a1):
-every entry of the d x d site state outside that block is exactly 0, and the
-all-a1 state lies inside it, so the distances are the d x d ones.  Within
-the block it keeps only the entries the member orbits can reach, as packed
+The instance's ``averager`` steps every member orbit once: the members are
+stacked as code rows and stepped in lockstep, batch by batch, and each batch
+is folded straight into per-shape histograms and sparse kernel entries, so
+the set-up holds no per-member arrays beyond one batch.  The scan works in
+the basis of the s site values the ensemble occupies (plus a1): every entry
+of the d x d site state outside that block is exactly 0, and the all-a1
+state lies inside it, so the distances are the d x d ones.  Within the
+block it keeps only the entries the member orbits can reach, as packed
 (chunk, s + P) rows of a ``PackedLayout``: the s diagonal entries and the P
 off-diagonal value pairs of the orbits' cross pairs.  Rounding, the running
 sums and the trace-norm bounds run on those rows; dense s x s matrices are
-rebuilt only for the points the bounds leave to the eigensolver.  The grid is
-arithmetic, so the amplitudes of a chunk come from per-shape phase tables
-(``_PhaseTables``) at J exponentials per shape, not T J.
+rebuilt only for the points the bounds leave to the eigensolver.  All shapes
+of a chunk are evaluated at once, from one phase table over every shape's
+eigenvalues: the grid is arithmetic, so a chunk's phase rows are the table's
+times sum J exponentials, not T sum J.
 
 Every numerical shortcut carries its certified error term; verdicts return
 the full ledger of those terms.
@@ -36,19 +40,20 @@ from functools import cached_property
 import numpy as np
 
 from .dynamics import (
+    KINDS,
+    _one_site_pairs,
     basis_state,
-    batch_site_data,
-    member_orbit_terms,
+    stacked_member_orbits,
     trace_distance,
 )
 from .encoding import InitialEnsemble
 from .hamiltonian import (
     DimensionGuard,
     LocalHamiltonian,
+    OrbitSpectrum,
     TruncatedOrbit,
     compile_machine,
     min_distinct_gap,
-    orbit_spectrum,
 )
 from .machine import MachineSpec, a_cell
 
@@ -74,6 +79,10 @@ SCREEN_MARGIN = 1e-9
 
 # Steps a member orbit may take before the instance is refused.
 ORBIT_BUDGET = 200000
+
+# Ensemble members stepped and folded together by the grid averager; the
+# stacked rows of one batch bound its working set.
+MEMBER_BATCH = 1 << 12
 
 # Largest joint spectrum of a block configuration whose gap is certified.
 PRODUCT_GUARD = 200000
@@ -302,7 +311,7 @@ class DecisionInstance:
 def fixture_gap_floor(instance: DecisionInstance) -> Fraction:
     """Gap floor attached to a fixture instance: 8/(J_max+1)^2 with J_max the
     longest orbit the decision averages over (integer-reciprocal form)."""
-    j_max = max((orbit.length for orbit, _, _ in instance.averager.members), default=1)
+    j_max = max((J for J, _ in instance.averager.shapes), default=1)
     return Fraction(1, math.ceil(Fraction((j_max + 1) ** 2, 8)))
 
 
@@ -342,75 +351,171 @@ class _EnsembleGridAverager:
     with size-proportional weights; the space average splits exactly that way
     because no update pair crosses a block boundary.  Amplitudes depend only
     on an orbit's shape (J, kind), so the members of one shape are folded
-    once into a weighted histogram and a real kernel over the step pairs and
-    value pairs they occupy; a grid chunk then costs a fixed amount of work
-    per shape, not per member.  States are kept in the basis of ``values``,
+    into a weighted histogram and sparse kernel entries over the step pairs
+    and value pairs they occupy; a grid chunk then costs a fixed amount of
+    work per shape, not per member.
+
+    The members are stepped ``MEMBER_BATCH`` at a time, in lockstep, by
+    ``stacked_member_orbits``, and each batch is folded straight from its
+    stacked rows: its histogram counts and its one-site pairs (one scan,
+    bucketed by (orbit, control site)) are added into running sums, term by
+    term in orbit order, so the sums are those of adding member after
+    member.  Nothing per member outlives its batch but its shape, weight and
+    configuration index.
+
+    ``shapes`` maps each shape to its ``OrbitSpectrum``, in the order of the
+    shapes' columns: shape g owns J_g consecutive columns of every
+    (T, sum J) amplitude array.  States are kept in the basis of ``values``,
     the sorted indices of the site values some member's orbit holds, plus
     a1: no entry outside that block is ever nonzero.  Within it, ``layout``
     packs the diagonal and the value pairs some member's cross rows occupy
     (closed under transpose, as the cross rows are ordered pairs); no other
-    entry is ever nonzero either.  ``shapes`` maps each shape to its fold,
-    whose ``OrbitSpectrum`` also serves ``min_orbit_gap``.
+    entry is ever nonzero either.  ``hist`` (sum J, s) is the weighted
+    histogram of every column, and kernel entry e adds ``entry_w[e]`` times
+    amps[:, entry_cols[0, e]] conj(amps[:, entry_cols[1, e]]) into layout
+    pair ``entry_pair[e]``, entries sorted by pair.
     """
 
     def __init__(self, h: LocalHamiltonian, ensemble: InitialEnsemble):
         self.h = h
-        orbits, weights = [], []
-        self.member_blocks = []  # per ensemble member: list of orbits
-        for cfg, w in ensemble.members:
-            block_orbits = []
-            for orbit, scale in member_orbit_terms(h, cfg, ORBIT_BUDGET):
-                if orbit.kind == "truncated":
-                    raise TruncatedOrbit(
-                        "orbit budget exhausted while preparing instance"
-                    )
-                orbits.append(orbit)
-                weights.append(float(w) * scale)
-                block_orbits.append(orbit)
-            self.member_blocks.append(block_orbits)
-        # one one-site scan over all member orbits of each lattice width
-        self.members = list(zip(orbits, batch_site_data(orbits, h), weights))
-        occupied = np.zeros(h.site_dim, dtype=bool)
-        occupied[h.value_index(a_cell("a1"))] = True
-        for _, data, _ in self.members:
-            occupied |= data.hist.any(axis=0)
-        self.values = np.flatnonzero(occupied)
-        by_shape = {}
-        for orbit, data, w in self.members:
-            by_shape.setdefault((orbit.length, orbit.kind), []).append((orbit, data, w))
-        folds = {shape: _fold_shape(group, self.values) for shape, group in by_shape.items()}
-        # the layout's pairs are those of every shape; each kernel gets a
-        # column per pair, zero where its shape never reaches the pair
-        s = len(self.values)
-        keys = [pairs for *_, pairs, _ in folds.values()]
-        pair_keys, _ = _unique_inverse(np.concatenate(keys or [np.zeros(0, np.intp)]))
-        self.layout = PackedLayout(s, *divmod(pair_keys, s))
+        d = h.site_dim
         self.shapes = {}
-        for shape, (spectrum, hist, steps, pairs, kernel) in folds.items():
-            wide = np.zeros((len(kernel), len(pair_keys)))
-            wide[:, np.searchsorted(pair_keys, pairs)] = kernel
-            self.shapes[shape] = (spectrum, hist, steps, wide)
+        self.block_shapes = set()  # the distinct sorted tuples of a member's shape numbers
+        occupied = np.zeros(d, dtype=bool)
+        occupied[h.value_index(a_cell("a1"))] = True
+        # running sums: the histogram over (column, value), and the kernel
+        # over the sorted keys ((pair0[g] + j J_g + j') d + v) d + v' of the
+        # step pairs (j, j') of shape g, whose pair keys start at pair0[g]
+        hist, kernel_keys, kernel_w = np.zeros(0), np.zeros(0, dtype=np.intp), np.zeros(0)
+        orbit_shape, orbit_member, orbit_weight = [], [], []
+        members = ensemble.members
+        for first in range(0, len(members), MEMBER_BATCH):
+            groups = stacked_member_orbits(h, members[first : first + MEMBER_BATCH], ORBIT_BUDGET)
+            if any((orbits.kind == KINDS.index("truncated")).any() for orbits, _, _ in groups):
+                raise TruncatedOrbit("orbit budget exhausted while preparing instance")
+            shape = [self._shape_numbers(orbits) for orbits, _, _ in groups]
+            J, col0, pair0 = self._offsets()
+            hist = np.concatenate([hist, np.zeros(col0[-1] * d - len(hist))])
+            keys, terms = [], []
+            for (orbits, member, weight), g in zip(groups, shape):
+                rows, n = orbits.rows, orbits.rows.shape[1]
+                step, g_row = orbits.step, g[orbits.orbit]
+                row_w = (weight / n)[orbits.orbit]
+                # each distinct value of a row once, with its count
+                ranked = np.sort(rows, axis=1)
+                new = np.ones(rows.shape, dtype=bool)
+                np.not_equal(ranked[:, 1:], ranked[:, :-1], out=new[:, 1:])
+                r, i = np.nonzero(new)
+                occupied[ranked[r, i]] = True
+                count = np.diff(np.append(r * n + i, rows.size))
+                np.add.at(hist, (col0[g_row[r]] + step[r]) * d + ranked[r, i], row_w[r] * count)
+                _, (a, b, va, vb) = _one_site_pairs(h, rows, rows, orbits.orbit)
+                ga = g_row[a]
+                keys.append(((pair0[ga] + step[a] * J[ga] + step[b]) * d + va) * d + vb)
+                terms.append(row_w[a])
+                orbit_shape.append(g)
+                orbit_member.append(first + member)
+                orbit_weight.append(weight)
+            kernel_keys, at = _unique_inverse(np.concatenate([kernel_keys, *keys]))
+            sums = np.zeros(len(kernel_keys))
+            np.add.at(sums, at, np.concatenate([kernel_w, *terms]))
+            kernel_w = sums
+            self._add_block_shapes(groups, shape)
+        self._orbits = tuple(
+            np.concatenate(part or [np.zeros(0)]) for part in (orbit_shape, orbit_member, orbit_weight)
+        )
+        self.values = np.flatnonzero(occupied)
+        s = len(self.values)
+        J, col0, pair0 = self._offsets()
+        self.hist = hist.reshape(col0[-1], d)[:, self.values]
+        # kernel entries as (pair of amplitude columns, layout pair), sorted by
+        # layout pair
+        steps, v01 = divmod(kernel_keys, d * d)
+        g = np.searchsorted(pair0, steps, side="right") - 1
+        j0, j1 = divmod(steps - pair0[g], J[g])
+        pair = np.searchsorted(self.values, v01 // d) * s + np.searchsorted(self.values, v01 % d)
+        order = np.argsort(pair, kind="stable")
+        pair_keys, self.entry_pair = _unique_inverse(pair[order])
+        self.layout = PackedLayout(s, *divmod(pair_keys, s))
+        self.entry_cols = np.stack([col0[g] + j0, col0[g] + j1])[:, order]
+        self.entry_w = kernel_w[order]
+        self.pair_start = np.searchsorted(self.entry_pair, np.arange(len(pair_keys)))
+        spectra = list(self.shapes.values())
+        self.eigenvalues = np.concatenate([np.zeros(0)] + [sp.eigenvalues for sp in spectra])
+        self.first_row = np.concatenate([np.zeros(0)] + [sp.first_row for sp in spectra])
+        self._blocks = [(slice(a, b), sp.vectors.T) for a, b, sp in zip(col0, col0[1:], spectra)]
 
-    def states_at(self, ts: np.ndarray, phases: dict = None) -> np.ndarray:
+    def _offsets(self):
+        """Each shape's J, and the first amplitude column and first step-pair
+        key of each shape (one more entry: the totals)."""
+        J = np.array([J for J, _ in self.shapes], dtype=np.intp)
+        return J, np.cumsum([0, *J]), np.cumsum([0, *J * J])
+
+    def _shape_numbers(self, orbits) -> np.ndarray:
+        """Each orbit's shape number, new shapes numbered on in (J, kind) order."""
+        keys, inverse = _unique_inverse(orbits.length * len(KINDS) + orbits.kind)
+        number = []
+        for key in keys.tolist():
+            shape = (key // len(KINDS), KINDS[key % len(KINDS)])
+            if shape not in self.shapes:
+                self.shapes[shape] = OrbitSpectrum.of(shape[1], shape[0])
+            number.append(list(self.shapes).index(shape))
+        return np.array(number, dtype=np.intp)[inverse]
+
+    def _add_block_shapes(self, groups, shape):
+        """Record the sorted tuple of shape numbers of each member's blocks."""
+        blocks = {}
+        member = np.concatenate([m for _, m, _ in groups])
+        for m, g in zip(member.tolist(), np.concatenate(shape).tolist()):
+            blocks.setdefault(m, []).append(g)
+        self.block_shapes.update(tuple(sorted(g)) for g in blocks.values())
+
+    @property
+    def members(self) -> list:
+        """Every orbit as a (spectrum, member, weight) triple: the spectrum of
+        its shape, the index of its configuration in the ensemble and its
+        weight in the space average."""
+        spectra = list(self.shapes.values())
+        shape, member, weight = (a.tolist() for a in self._orbits)
+        return [(spectra[g], m, w) for g, m, w in zip(shape, member, weight)]
+
+    def phases(self, ts) -> np.ndarray:
+        """Rows e^{-i t lambda} conj(<1|v>) of every shape's eigenvalues at
+        ``ts``, shape (T, sum J): the amplitudes are these rows through each
+        shape's eigenvectors."""
+        return np.exp(-1j * np.outer(ts, self.eigenvalues)) * self.first_row
+
+    def states_at(self, ts: np.ndarray, phases: np.ndarray = None) -> np.ndarray:
         """The packed (T, s + P) rows, in ``layout``, of the space-averaged
         site states at ``ts``; every other entry of the d x d state is
         exactly 0.
 
-        ``phases``, when given, maps each shape to its rows
-        ``OrbitSpectrum.phases(ts)`` (``_PhaseTables.at`` on the decide
-        grid); otherwise they are evaluated here.  Each shape's diagonal and
-        kernel products are added straight into their columns.
+        ``phases``, when given, are the rows ``phases(ts)`` (the decide scan
+        builds them from a table of its arithmetic grid).  All shapes go
+        through one (T, sum J) amplitude array: one product with ``hist``
+        for the diagonal, and the kernel entries gathered and summed per
+        layout pair.
         """
-        s = len(self.values)
-        out = np.zeros((len(ts), self.layout.width), dtype=complex)
-        diag, pairs_re, pairs_im = out.real[:, :s], out.real[:, s:], out.imag[:, s:]
-        for shape, (spectrum, hist, (j0, j1), kernel) in self.shapes.items():
-            amps = spectrum.amplitudes(ts, None if phases is None else phases[shape])
-            diag += np.abs(amps) ** 2 @ hist
-            pair_w = amps[:, j0] * np.conj(amps[:, j1])
-            # two real products: a complex @ would map extra BLAS pages
-            pairs_re += pair_w.real @ kernel
-            pairs_im += pair_w.imag @ kernel
+        if phases is None:
+            phases = self.phases(ts)
+        if len(self._blocks) == 1:
+            amps = phases @ self._blocks[0][1]
+        else:
+            amps = np.empty_like(phases)
+            for cols, vectors_t in self._blocks:
+                np.matmul(phases[:, cols], vectors_t, out=amps[:, cols])
+        s = self.layout.s
+        out = np.empty((len(ts), self.layout.width), dtype=complex)
+        weights = np.abs(amps)
+        weights *= weights
+        out[:, :s] = weights @ self.hist
+        if len(self.entry_w):
+            # in place, so that a chunk holds two (T, E) temporaries, not four
+            terms, other = amps.take(self.entry_cols[0], axis=1), amps.take(self.entry_cols[1], axis=1)
+            np.conjugate(other, out=other)
+            terms *= other
+            terms *= self.entry_w
+            out[:, s:] = np.add.reduceat(terms, self.pair_start, axis=1)
         return out
 
     def min_orbit_gap(self) -> float:
@@ -421,17 +526,14 @@ class _EnsembleGridAverager:
         eigenvalues) because sums of per-block eigenvalues can come closer
         than any single block's gap.  The spectra depend only on the block
         shapes, so each distinct tuple of shapes is sized once, from the
-        spectra of the folds.
+        spectra of the shapes.
         """
-        block_shapes = {
-            tuple((orbit.length, orbit.kind) for orbit in blocks)
-            for blocks in self.member_blocks
-        }
+        spectra = list(self.shapes.values())
         worst = float("inf")
-        for shapes in block_shapes:
+        for shapes in self.block_shapes:
             lams = np.array([0.0])
-            for shape in shapes:
-                eigenvalues = self.shapes[shape][0].eigenvalues
+            for g in shapes:
+                eigenvalues = spectra[g].eigenvalues
                 if len(lams) * len(eigenvalues) > PRODUCT_GUARD:
                     raise DimensionGuard(
                         "joint spectrum too large to certify the gap floor"
@@ -444,7 +546,7 @@ class _EnsembleGridAverager:
 def _unique_inverse(keys: np.ndarray):
     """Sorted distinct keys and each key's position among them, as
     ``np.unique(keys, return_inverse=True)`` gives, without its imports."""
-    order = np.argsort(keys, kind="stable")
+    order = np.argsort(keys)
     ranked = keys[order]
     new = np.empty(len(keys), dtype=bool)
     new[:1] = True
@@ -452,56 +554,6 @@ def _unique_inverse(keys: np.ndarray):
     inverse = np.empty(len(keys), dtype=np.intp)
     inverse[order] = np.cumsum(new) - 1
     return ranked[new], inverse
-
-
-def _fold_shape(group, values: np.ndarray):
-    """Fold (orbit, data, weight) members of one orbit shape into
-    (spectrum, histogram, step pairs, value pairs, kernel) over the site
-    values ``values`` (sorted, holding every value the members occupy).
-
-    The (J, s) histogram is sum_m (w_m / n_m) hist_m on the columns of
-    ``values``.  The kernel holds, for every step pair (j, j') and value pair
-    (v, v') some member's cross rows occupy, the summed w_m / n_m of the
-    members with that row; only occupied pairs get a row or column.  Value
-    pairs come as sorted keys v s + v', v and v' positions in ``values``.
-    """
-    orbit = group[0][0]
-    J, s = orbit.length, len(values)
-    hist = sum(w / data.n_sites * data.hist for _, data, w in group)[:, values]
-    cross = np.concatenate([data.cross for _, data, _ in group])
-    scale = np.concatenate(
-        [np.full(len(data.cross), w / data.n_sites) for _, data, w in group]
-    )
-    steps, row = _unique_inverse(cross[:, 0] * J + cross[:, 1])
-    at = np.searchsorted(values, cross[:, 2:])
-    pairs, col = _unique_inverse(at[:, 0] * s + at[:, 1])
-    kernel = np.zeros((len(steps), len(pairs)))
-    np.add.at(kernel, (row, col), scale)
-    return orbit_spectrum(orbit), hist, divmod(steps, J), pairs, kernel
-
-
-class _PhaseTables:
-    """Rows e^{-i m dt lambda} conj(V_0), m < ``rows``, of each orbit shape
-    on the arithmetic grid t_k = k dt.
-
-    The rows of a chunk that starts at grid index k0 are the first rows of
-    the table times e^{-i k0 dt lambda}: J exponentials per shape and chunk,
-    where ``OrbitSpectrum.phases`` takes T J.
-    """
-
-    def __init__(self, shapes: dict, dt: float, rows: int):
-        self.dt = dt
-        self.tables = {
-            shape: (spectrum.phases(dt * np.arange(rows)), spectrum.eigenvalues)
-            for shape, (spectrum, *_) in shapes.items()
-        }
-
-    def at(self, k0: int, n: int) -> dict:
-        """Each shape's rows at t = (k0 + m) dt, m < n."""
-        return {
-            shape: table[:n] * np.exp(-1j * (k0 * self.dt) * lam)
-            for shape, (table, lam) in self.tables.items()
-        }
 
 
 def _grid_fires(inst: DecisionInstance, k_max: int):
@@ -518,11 +570,13 @@ def _grid_fires(inst: DecisionInstance, k_max: int):
     dt = grid_step(inst.eta, inst.eps1)
     cells = max(layout.width, sum(J for J, _ in avger.shapes))
     chunk = max(1, min(k_max, GRID_CELLS // cells))
-    tables = _PhaseTables(avger.shapes, dt, chunk)
+    # the grid is arithmetic: the phase rows of a chunk that starts at grid
+    # index k0 are the table's first rows times e^{-i k0 dt lambda}
+    table = avger.phases(dt * np.arange(chunk))
     running = np.zeros(layout.width, dtype=complex)
     for done in range(0, k_max, chunk):
         ks = np.arange(done + 1, min(done + chunk, k_max) + 1)
-        phases = tables.at(done + 1, len(ks))
+        phases = table[: len(ks)] * np.exp(-1j * ((done + 1) * dt) * avger.eigenvalues)
         avg = round_state(avger.states_at(dt * ks, phases), places)
         # carrying into the first row keeps the point-by-point summation order;
         # in place, since every fresh stack-sized array costs page faults

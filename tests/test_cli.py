@@ -302,6 +302,29 @@ def test_decide_too_large_with_fixture_floor_exit_3(tmp_path, capsys):
     assert err[-1] == "resource guard: instance carries no explicit configurations"
 
 
+def test_decide_interacting_blocks_exit_2(tmp_path, capsys):
+    """Two-way blocks of an iid ensemble end on a left shift off their block:
+    the stacked route refuses the split, exit 2 with a one-line message."""
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({**_INSTANCE, "variant": "two-way-amp", "mode": "iid",
+                                "L": 4, "l": 2, "gap_floor_from_fixture": True}))
+    assert run(["decide", str(path), "--override-params"]) == 2
+    err = capsys.readouterr().err.strip().split("\n")
+    assert err == ["error: block decomposition refused: a block orbit shifts left off its block"]
+
+
+def test_decide_truncated_member_orbit_exit_3(tmp_path, capsys, monkeypatch):
+    """A member orbit longer than the orbit budget refuses the instance."""
+    import hamca.verifier as verifier
+
+    monkeypatch.setattr(verifier, "ORBIT_BUDGET", 10)
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(_INSTANCE))
+    assert run(["decide", str(path), "--override-params"]) == 3
+    err = capsys.readouterr().err.strip().split("\n")
+    assert err == ["resource guard: orbit budget exhausted while preparing instance"]
+
+
 def test_decide_grid_guard_exit_3(tmp_path, capsys):
     """The default cutoff at L=5 needs about 1.4e8 grid points: refused at once."""
     path = tmp_path / "inst.json"

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamca.dynamics import (
-    batch_site_data,
+    KINDS,
+    _one_site_pairs,
     check_state,
     coded_orbit,
     dense_cross_term,
@@ -16,6 +17,7 @@ from hamca.dynamics import (
     dephasing_cross_term,
     ensemble_site_average,
     evolve_spectral,
+    lockstep_orbits,
     longterm_site_average,
     member_orbit_terms,
     orbit_site_average,
@@ -26,6 +28,7 @@ from hamca.dynamics import (
     run_orbit_cached,
     site_average_weighted,
     space_average_operator,
+    stacked_member_orbits,
     time_avg_probs,
     time_avg_probs_overlap,
     trace_distance,
@@ -292,13 +295,19 @@ def test_orbit_site_data_random_configurations_match_all_pairs(single_control_ri
 
 
 def _assert_coded_orbit_matches_reference(spec, h, cfg, max_steps=10_000):
-    """coded_orbit gives the reference route's rows, terminal and dtype."""
+    """coded_orbit gives the reference route's rows, terminal and dtype, and
+    so does lockstep_orbits on the configuration's row alone."""
     ref = run_orbit(spec, cfg, max_steps)
     got = coded_orbit(h, cfg, max_steps)
     assert got.terminal == ref.terminal
     assert (got.length, got.kind) == (ref.length, ref.kind)
     assert got.rows.dtype == np.min_scalar_type(h.site_dim - 1)
     assert np.array_equal(got.rows, h.encode([c.cells for c in ref.states]))
+    one = lockstep_orbits(h, got.rows[:1], np.array([cfg.single_control()]),
+                          cfg.boundary == "periodic", max_steps)
+    assert (one.length.tolist(), [KINDS[k] for k in one.kind]) == ([ref.length], [ref.kind])
+    assert np.array_equal(one.rows, got.rows) and one.rows.dtype == got.rows.dtype
+    assert one.orbit.tolist() == [0] * ref.length and one.step.tolist() == list(range(ref.length))
     return got
 
 
@@ -350,40 +359,82 @@ def test_coded_orbit_random_configurations_match_reference(single_control_rings,
     _assert_coded_orbit_matches_reference(spec, compile_machine(spec, cfg.boundary), cfg)
 
 
-def _assert_batch_matches_per_orbit(orbits, h):
-    """The one scan over all orbits equals orbit_site_data orbit by orbit, and
-    the all-pairs reference, in value, dtype and order."""
-    batch = batch_site_data(orbits, h)
-    assert len(batch) == len(orbits)
-    for orbit, got in zip(orbits, batch):
-        one = orbit_site_data(orbit, h)
-        hist, cross = _all_pairs_from_codes(orbit.rows, h)
-        assert (got.J, got.n_sites) == (one.J, one.n_sites) == orbit.rows.shape
-        for a, b in ((got.hist, one.hist), (got.cross, one.cross), (got.hist, hist),
-                     (got.cross, cross)):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
+def _assert_stacked_matches_member_terms(h, members):
+    """stacked_member_orbits gives each configuration the orbits and weights
+    of member_orbit_terms, and the one-site scan of a stacked group, bucketed
+    by (orbit, control site), gives each orbit the histogram and the cross
+    rows of orbit_site_data and of the all-pairs reference, in (j, j') order."""
+    d = h.site_dim
+    got = {}
+    for orbits, member, weight in stacked_member_orbits(h, members, 10_000):
+        rows, n = orbits.rows, orbits.rows.shape[1]
+        _, (a, b, va, vb) = _one_site_pairs(h, rows, rows, orbits.orbit)
+        for k in range(len(member)):
+            mine = orbits.orbit == k
+            assert np.array_equal(orbits.step[mine], np.arange(orbits.length[k]))
+            hist = np.zeros((orbits.length[k], d), dtype=np.intp)
+            np.add.at(hist, (orbits.step[mine][:, None], rows[mine]), 1)
+            at = orbits.orbit[a] == k
+            cross = np.stack([orbits.step[a[at]], orbits.step[b[at]], va[at], vb[at]], axis=1)
+            got.setdefault(member[k], []).append(
+                (rows[mine].tobytes(), n, KINDS[orbits.kind[k]], weight[k], hist, cross))
+    assert sorted(got) == list(range(len(members)))
+    for k, (cfg, w) in enumerate(members):
+        want = []
+        for orbit, scale in member_orbit_terms(h, cfg, 10_000):
+            data = orbit_site_data(orbit, h)
+            hist, cross = _all_pairs_from_codes(orbit.rows, h)
+            assert np.array_equal(data.hist, hist) and np.array_equal(data.cross, cross)
+            want.append((orbit.rows.tobytes(), orbit.rows.shape[1], orbit.kind,
+                         float(w) * scale, data.hist, data.cross))
+        assert len(got[k]) == len(want)
+        for mine, ref in zip(sorted(got[k], key=lambda x: x[:2]), sorted(want, key=lambda x: x[:2])):
+            assert mine[:4] == ref[:4]
+            assert np.array_equal(mine[4], ref[4]) and np.array_equal(mine[5], ref[5])
 
 
-def test_batch_site_data_anchored_ensemble(oneway):
+def test_stacked_member_orbits_anchored_ensemble(oneway):
     h = compile_machine(oneway)
     params = EnsembleParams("anchored", L=4, alpha=Fraction(1, 4))
     ens = build_initial_ensemble(oneway, params, encode_input("1", Fraction(1, 4)))
-    orbits = [orbit for cfg, _ in ens.members for orbit, _ in member_orbit_terms(h, cfg, 10_000)]
-    assert len(orbits) == len(ens.members) > 20
-    assert sum(len(d.cross) for d in batch_site_data(orbits, h)) > 0
-    _assert_batch_matches_per_orbit(orbits, h)
+    assert len(ens.members) > 20
+    _assert_stacked_matches_member_terms(h, ens.members)
 
 
-def test_batch_site_data_iid_blocks(iid_nd):
-    """Blocks of widths 1..5 in one call, control-free parts among them."""
-    params = EnsembleParams("iid", L=5, alpha=Fraction(0), l=2, boundary="open")
-    ens = build_initial_ensemble(iid_nd, params, encode_input("1", Fraction(0)))
-    h = compile_machine(iid_nd, "open")
-    orbits = [orbit for cfg, _ in ens.members for orbit, _ in member_orbit_terms(h, cfg, 10_000)]
-    assert {orbit.rows.shape[1] for orbit in orbits} == {1, 2, 3, 4, 5, 6}
-    free = [o for o in orbits if not any(is_control(h.site_values[v]) for v in o.rows[0])]
-    assert free and all(o.terminal == ("dead_end", 1) for o in free)
-    _assert_batch_matches_per_orbit(orbits, h)
+def test_stacked_member_orbits_iid_blocks(iid_nd):
+    """Blocks of widths 1..5 stepped group by group, control-free parts among
+    them, on both boundaries, with configurations of other widths and
+    without any control mixed in."""
+    a1, a2 = a_cell("a1"), a_cell("a2")
+    for boundary in ("open", "periodic"):
+        params = EnsembleParams("iid", L=5, alpha=Fraction(0), l=2, boundary=boundary)
+        ens = build_initial_ensemble(iid_nd, params, encode_input("1", Fraction(0)))
+        h = compile_machine(iid_nd, boundary)
+        extra = [(Configuration((a1, a2, a1), boundary), Fraction(1, 3)),
+                 (Configuration((a2,), boundary), Fraction(1, 5))]
+        groups = stacked_member_orbits(h, ens.members + extra, 10_000)
+        widths = {orbits.rows.shape[1] for orbits, _, _ in groups}
+        assert widths == {1, 2, 3, 4, 5, 6}
+        _assert_stacked_matches_member_terms(h, ens.members + extra)
+
+
+def test_stacked_member_orbits_shuttle_cycles_and_budgets(shuttle):
+    """Rings of several widths close into cycles in one lockstep call, and a
+    budget below an orbit's length truncates it as coded_orbit does."""
+    a1, a2, glide = a_cell("a1"), a_cell("a2"), control(0, "glide")
+    h = compile_machine(shuttle)
+    members = [(Configuration((glide,) + cells), Fraction(1, 4))
+               for cells in ((a1, a2, a1), (a2, a1, a1), (a1, a1, a1), (a2, a2, a2))]
+    _assert_stacked_matches_member_terms(h, members)
+    (orbits, _, _), = stacked_member_orbits(h, members, 10_000)
+    assert {KINDS[k] for k in orbits.kind} == {"cycle"}
+    J = int(orbits.length.max())
+    for budget in (0, 1, J - 1):
+        (cut, _, _), = stacked_member_orbits(h, members, budget)
+        for k, (cfg, _) in enumerate(members):
+            ref = coded_orbit(h, cfg, budget)
+            assert (cut.length[k], KINDS[cut.kind[k]]) == (ref.length, ref.kind)
+            assert np.array_equal(cut.rows[cut.orbit == k], ref.rows)
 
 
 def _reference_orbit_terms(h, cfg, max_steps):

@@ -258,22 +258,22 @@ def test_amplitudes_match_dense_formulas():
             spec = OrbitSpectrum.of(kind, J)
             want = _dense_amplitudes(kind, J, ts)
             assert np.abs(spec.amplitudes(ts) - want).max() < 1e-12, (kind, J)
-            got = spec.amplitudes(ts, spec.phases(ts))
+            got = spec.phases(ts) @ spec.vectors.T
             assert np.abs(got - want).max() < 1e-12, (kind, J)
 
 
 def test_spectrum_vectors_built_on_first_use():
     """The eigenvalues, the phase rows and the transform amplitudes come
-    without the J x J matrix; only amplitudes of given phase rows (the
-    decide scan's input) build it, as orthonormal eigenvectors of the path
-    and the cycle."""
+    without the J x J matrix; it is built on first use (the decide scan
+    multiplies its phase rows through it), as orthonormal eigenvectors of
+    the path and the cycle, and takes the phase rows to the amplitudes."""
     ts = np.array([0.0, 1.5])
     for kind, J in (("dead_end", 9), ("cycle", 8)):
         spec = OrbitSpectrum.of(kind, J)
         assert min_distinct_gap(spec.eigenvalues) > 0
         amps = spec.amplitudes(ts)
         assert "vectors" not in vars(spec)
-        assert np.abs(spec.amplitudes(ts, spec.phases(ts)) - amps).max() < 1e-12
+        assert np.abs(spec.phases(ts) @ spec.vectors.T - amps).max() < 1e-12
         hop = np.diag(np.ones(J - 1), 1)
         if kind == "cycle":
             hop[-1, 0] = 1

@@ -14,13 +14,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hamca.dynamics as dynamics
 import hamca.verifier as verifier
 from hamca.cli import main
 from hamca.dynamics import (
     add_site_states,
     basis_state,
     ensemble_site_average,
+    member_orbit_terms,
     orbit_site_average,
+    orbit_site_data,
     run_orbit_cached,
     trace_distance,
 )
@@ -329,11 +332,81 @@ def test_block_mode_refuses_interacting_blocks():
         decide_finite(inst)
 
 
-def _per_member_states(avger, ts):
+def _per_member_route(h, members):
+    """The per-member route the stacked averager replaced, kept as its
+    oracle: member_orbit_terms (one coded_orbit per block) and
+    orbit_site_data per orbit, folded shape by shape.
+
+    Returns the (orbit, data, weight) triples, the sorted tuples of block
+    shapes of the members, the occupied values (plus a1), and per shape its
+    (J, s) histogram over the values and its kernel {(j, j', v, v'): w},
+    v and v' positions in the values."""
+    orbits, block_shapes = [], set()
+    for cfg, w in members:
+        terms = member_orbit_terms(h, cfg, verifier.ORBIT_BUDGET)
+        block_shapes.add(tuple(sorted((o.length, o.kind) for o, _ in terms)))
+        orbits += [(o, orbit_site_data(o, h), float(w) * scale) for o, scale in terms]
+    occupied = np.zeros(h.site_dim, dtype=bool)
+    occupied[h.value_index(a_cell("a1"))] = True
+    for _, data, _ in orbits:
+        occupied |= data.hist.any(axis=0)
+    values = np.flatnonzero(occupied)
+    folds = {}
+    for orbit, data, w in orbits:
+        hist, kernel = folds.setdefault((orbit.length, orbit.kind),
+                                        (np.zeros((orbit.length, len(values))), {}))
+        hist += w / data.n_sites * data.hist[:, values]
+        at = np.searchsorted(values, data.cross[:, 2:])
+        for key in zip(*data.cross[:, :2].T.tolist(), *at.T.tolist()):
+            kernel[key] = kernel.get(key, 0.0) + w / data.n_sites
+    return orbits, block_shapes, values, folds
+
+
+def _assert_close(got, want, rel=1e-15):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max(initial=0.0) <= rel * np.abs(want).max(initial=0.0)
+
+
+def _assert_folds_match(avger, oracle):
+    """The stacked averager holds the oracle's values, spectra, per-shape
+    histograms and kernel entries (to 1e-15 relative), layout and block
+    shapes, and one (spectrum, member, weight) triple per orbit."""
+    orbits, block_shapes, values, folds = oracle
+    assert np.array_equal(avger.values, values)
+    assert set(avger.shapes) == set(folds)
+    col0 = np.cumsum([0] + [J for J, _ in avger.shapes])
+    got = {}
+    for e, p in enumerate(avger.entry_pair.tolist()):
+        c0, c1 = avger.entry_cols[:, e]
+        g = np.searchsorted(col0, c0, side="right") - 1
+        key = (list(avger.shapes)[g], (c0 - col0[g], c1 - col0[g],
+               avger.layout.rows[p], avger.layout.cols[p]))
+        got[key] = avger.entry_w[e]
+    for g, (shape, spectrum) in enumerate(avger.shapes.items()):
+        hist, kernel = folds[shape]
+        want = OrbitSpectrum.of(shape[1], shape[0])
+        assert (spectrum.length, spectrum.kind) == shape
+        assert np.array_equal(spectrum.eigenvalues, want.eigenvalues)
+        assert np.array_equal(spectrum.vectors, want.vectors)
+        _assert_close(avger.hist[col0[g]:col0[g + 1]], hist)
+        keys = sorted(kernel)
+        assert sorted(k for sh, k in got if sh == shape) == keys
+        _assert_close([got[shape, k] for k in keys], [kernel[k] for k in keys])
+    pairs = sorted({(v, w) for _, kernel in folds.values() for _, _, v, w in kernel})
+    assert list(zip(avger.layout.rows.tolist(), avger.layout.cols.tolist())) == pairs
+    assert avger.layout.s == len(values) and avger.hist.shape[1] == len(values)
+    spectra = list(avger.shapes)
+    assert {tuple(sorted(spectra[g] for g in t)) for t in avger.block_shapes} == block_shapes
+    want = sorted((o.length, o.kind, w) for o, _, w in orbits)
+    assert sorted((sp.length, sp.kind, w) for sp, _, w in avger.members) == want
+
+
+def _per_member_states(oracle, h, ts):
     """Reference: every member's amplitudes added through add_site_states."""
-    d = avger.h.site_dim
+    d = h.site_dim
     out = np.zeros((len(ts), d, d), dtype=complex)
-    for orbit, data, w in avger.members:
+    for orbit, data, w in oracle[0]:
         amps = orbit_spectrum(orbit).amplitudes(ts)
         c = data.cross
         add_site_states(out, data, np.abs(amps) ** 2,
@@ -341,13 +414,14 @@ def _per_member_states(avger, ts):
     return out
 
 
-def _per_member_gap(avger):
-    """Reference: the joint spectrum of every member assembled on its own."""
+def _per_member_gap(oracle):
+    """Reference: the joint spectrum of every member's blocks assembled on
+    its own."""
     worst = float("inf")
-    for blocks in avger.member_blocks:
+    for shapes in oracle[1]:
         lams = np.array([0.0])
-        for orbit in blocks:
-            lams = (lams[:, None] + orbit_spectrum(orbit).eigenvalues[None, :]).ravel()
+        for J, kind in shapes:
+            lams = (lams[:, None] + OrbitSpectrum.of(kind, J).eigenvalues[None, :]).ravel()
         steps = np.diff(np.sort(lams))
         worst = min(worst, float(steps[steps > 1e-9].min(initial=np.inf)))
     return worst
@@ -383,104 +457,129 @@ def test_states_at_matches_per_member_sum(shuttle, oneway, iid_nd):
     for spec, members, kinds, n_shapes, small in cases:
         h = compile_machine(spec)
         avger = _EnsembleGridAverager(h, SimpleNamespace(members=members))
+        oracle = _per_member_route(h, members)
         assert {orbit.kind for orbit, _, _ in avger.members} == kinds
         if n_shapes is not None:
             assert (len(avger.members), len(avger.shapes)) == (243, n_shapes)
         d, at = h.site_dim, np.ix_(avger.values, avger.values)
         got = np.zeros((len(ts), d, d), dtype=complex)
         got[(slice(None), *at)] = avger.layout.unpack(avger.states_at(ts))
-        assert np.abs(got - _per_member_states(avger, ts)).max() < 1e-12
-        assert avger.min_orbit_gap() == _per_member_gap(avger)
+        assert np.abs(got - _per_member_states(oracle, h, ts)).max() < 1e-12
+        assert avger.min_orbit_gap() == _per_member_gap(oracle)
         if small:
             for k, t in enumerate(ts):
                 want = ensemble_site_average(members, h, t)
                 assert np.abs(got[k] - want).max() < 1e-12
 
 
-def _dense_states_at(avger, ts):
-    """The dense route: every shape's diagonal and kernel products scattered
-    into a (T, s, s) stack of zeros."""
-    s = len(avger.values)
-    rows, cols = avger.layout.rows, avger.layout.cols
+def _dense_states_at(oracle, ts):
+    """The dense route on the oracle's folds: every shape's diagonal and
+    kernel products scattered into a (T, s, s) stack of zeros."""
+    _, _, values, folds = oracle
+    s = len(values)
     out = np.zeros((len(ts), s, s), dtype=complex)
     diag = np.arange(s)
-    for spectrum, hist, (j0, j1), kernel in avger.shapes.values():
-        amps = spectrum.amplitudes(ts)
+    for (J, kind), (hist, kernel) in folds.items():
+        amps = OrbitSpectrum.of(kind, J).amplitudes(ts)
         out[:, diag, diag] += np.abs(amps) ** 2 @ hist
-        pair_w = amps[:, j0] * np.conj(amps[:, j1])
-        out[:, rows, cols] += pair_w.real @ kernel + 1j * (pair_w.imag @ kernel)
+        for (j, jp, v, vp), w in kernel.items():
+            out[:, v, vp] += w * amps[:, j] * np.conj(amps[:, jp])
     return out
 
 
 def _layout_cases(shuttle, iid_nd):
-    """Averagers over one anchored configuration of every fixture-table row
-    (L = 6 and 13), shuttle cycles with a block member, iid block ensembles
-    and the 243-member benchmark ensembles (several shapes, each reaching a
-    part of the pairs)."""
+    """(h, members) of averagers over one anchored configuration of every
+    fixture-table row (L = 6 and 13), shuttle cycles with a block member,
+    iid block ensembles on both boundaries (an open lattice's control-free
+    heads among the parts) and the 243-member benchmark ensembles (several
+    shapes, each reaching a part of the pairs)."""
     _, rows = FIXTURE_TABLE.args
     for row in rows:
         for _, h, cfg in _fixture_configs(*row):
-            yield _EnsembleGridAverager(h, SimpleNamespace(members=[(cfg, 1)]))
+            yield h, [(cfg, 1)]
     glide, a1, a2 = control(0, "glide"), a_cell("a1"), a_cell("a2")
     rings = [(Configuration((glide, a2, a2)), Fraction(1, 3)),
              (Configuration((glide, a1, a2, a1, a2)), Fraction(1, 3)),
              (Configuration((glide, a1, a2, glide, a1, a1)), Fraction(1, 3))]
-    yield _EnsembleGridAverager(compile_machine(shuttle), SimpleNamespace(members=rings))
-    for L, l in ((4, 2), (5, 3)):
-        blocks = build_initial_ensemble(iid_nd, EnsembleParams("iid", L=L, alpha=Fraction(0), l=l),
-                                        encode_input("1", Fraction(0)))
-        yield _EnsembleGridAverager(compile_machine(iid_nd), blocks)
+    yield compile_machine(shuttle), rings
+    for L, l, boundary in ((4, 2, "periodic"), (5, 3, "periodic"), (4, 2, "open")):
+        params = EnsembleParams("iid", L=L, alpha=Fraction(0), l=l, boundary=boundary)
+        blocks = build_initial_ensemble(iid_nd, params, encode_input("1", Fraction(0)))
+        yield compile_machine(iid_nd, boundary), blocks.members
     for inner in ("halt_now", "ping_pong"):
         spec, members = _a11_style_ensemble(inner)
-        yield _EnsembleGridAverager(compile_machine(spec), SimpleNamespace(members=members))
+        yield compile_machine(spec), members
+
+
+def test_stacked_folds_match_the_per_member_route(shuttle, iid_nd, monkeypatch):
+    """Fold by fold, the stacked averager equals the per-member route on
+    every layout case, also when its members are stepped in batches of 7
+    (so shapes first appear in later batches)."""
+    kinds, n_shapes, batches = set(), 0, 0
+    for h, members in _layout_cases(shuttle, iid_nd):
+        oracle = _per_member_route(h, members)
+        _assert_folds_match(_EnsembleGridAverager(h, SimpleNamespace(members=members)), oracle)
+        kinds |= {kind for _, kind in oracle[3]}
+        n_shapes = max(n_shapes, len(oracle[3]))
+        if len(members) > 7:
+            with monkeypatch.context() as mp:
+                mp.setattr(verifier, "MEMBER_BATCH", 7)
+                avger = _EnsembleGridAverager(h, SimpleNamespace(members=members))
+            _assert_folds_match(avger, oracle)
+            batches += 1
+    assert kinds == {"cycle", "dead_end"} and n_shapes >= 5 and batches == 5
 
 
 def test_packed_states_equal_the_dense_stack(shuttle, iid_nd):
-    """Packed rows hold the dense stack's entries bit for bit on the layout;
-    off it the dense stack, and the per-member d x d sum outside the
-    occupied values, are exactly 0.  Each layout is closed under transpose
-    and holds every off-diagonal pair once."""
+    """Packed rows hold the entries of the dense stack built from the
+    per-member folds, to 1e-12; off the layout the unpacked rows, the dense
+    stack, and the per-member d x d sum outside the occupied values, are
+    exactly 0.  Each layout is closed under transpose and holds every
+    off-diagonal pair once."""
     ts = np.concatenate([np.linspace(0.0, 7.0, 9), [123.4, 1999.9]])
-    kinds, n_shapes = set(), 0
-    for avger in _layout_cases(shuttle, iid_nd):
+    for h, members in _layout_cases(shuttle, iid_nd):
+        avger = _EnsembleGridAverager(h, SimpleNamespace(members=members))
+        oracle = _per_member_route(h, members)
         layout = avger.layout
         s, pairs = layout.s, list(zip(layout.rows.tolist(), layout.cols.tolist()))
         assert s == len(avger.values) and all(v != w for v, w in pairs)
         assert pairs == sorted(set(pairs)) and set(pairs) == {(w, v) for v, w in pairs}
         packed = avger.states_at(ts)
-        dense = _dense_states_at(avger, ts)
+        dense = _dense_states_at(oracle, ts)
         assert packed.shape == (len(ts), layout.width)
-        assert np.array_equal(packed.view(np.uint64), layout.pack(dense).view(np.uint64))
-        assert np.array_equal(layout.unpack(packed).view(np.uint64), dense.view(np.uint64))
+        assert np.abs(packed - layout.pack(dense)).max() < 1e-12
         support = np.eye(s, dtype=bool)
         support[layout.rows, layout.cols] = True
+        assert not layout.unpack(packed)[:, ~support].any()
         assert not dense[:, ~support].any()
-        full = np.zeros((avger.h.site_dim,) * 2, dtype=bool)
+        full = np.zeros((h.site_dim,) * 2, dtype=bool)
         full[np.ix_(avger.values, avger.values)] = support
-        assert not _per_member_states(avger, ts)[:, ~full].any()
-        kinds |= {kind for _, kind in avger.shapes}
-        n_shapes = max(n_shapes, len(avger.shapes))
-    assert kinds == {"cycle", "dead_end"} and n_shapes >= 5
+        assert not _per_member_states(oracle, h, ts)[:, ~full].any()
 
 
-def test_phase_table_amplitudes_match_direct_evaluation():
-    """Amplitudes from the phase tables of the decide grid agree with
-    OrbitSpectrum.amplitudes to 1e-12, for J = 1..64 of both kinds, over
-    chunks up to t = 2000, a short last chunk included."""
+def test_phase_table_states_match_direct_evaluation(shuttle, iid_nd):
+    """States from the shifted rows of one phase table of the decide grid,
+    as _grid_fires builds them, agree with states from directly evaluated
+    phase rows and with the per-member route (transform amplitudes) to
+    1e-12, over chunks up to t = 2000, a short last chunk included."""
     dt = grid_step(0.988, 0.48)
     rows = 97
-    spectra = {(J, kind): (OrbitSpectrum.of(kind, J),)
-               for J in range(1, 65) for kind in ("dead_end", "cycle")}
-    tables = verifier._PhaseTables(spectra, dt, rows)
     k_last = int(2000 / dt) - rows
     worst = 0.0
-    for k0, n in ((1, rows), (rows + 1, rows), (15_000, 9), (k_last, rows)):
-        ts = dt * np.arange(k0, k0 + n)
-        assert ts[-1] <= 2000
-        phases = tables.at(k0, n)
-        for shape, (spectrum,) in spectra.items():
-            got = spectrum.amplitudes(ts, phases[shape])
-            worst = max(worst, np.abs(got - spectrum.amplitudes(ts)).max())
+    for h, members in _layout_cases(shuttle, iid_nd):
+        avger = _EnsembleGridAverager(h, SimpleNamespace(members=members))
+        oracle = _per_member_route(h, members)
+        table = avger.phases(dt * np.arange(rows))
+        at = np.ix_(avger.values, avger.values)
+        for k0, n in ((1, rows), (15_000, 9), (k_last, rows)):
+            ts = dt * np.arange(k0, k0 + n)
+            assert ts[-1] <= 2000
+            phases = table[:n] * np.exp(-1j * (k0 * dt) * avger.eigenvalues)
+            assert np.abs(phases - avger.phases(ts)).max() < 1e-12
+            got = avger.states_at(ts, phases)
+            assert np.abs(got - avger.states_at(ts)).max() < 1e-12
+            want = _per_member_states(oracle, h, ts)[(slice(None), *at)]
+            worst = max(worst, np.abs(avger.layout.unpack(got) - want).max())
     assert 0 < worst < 1e-12
 
 
@@ -532,7 +631,7 @@ def test_grid_fires_matches_per_point_scan(inner, variant, L, eta, eps1, fires, 
 
     def recording(ts, phases=None):
         chunks.append(len(ts))
-        assert set(phases) == set(avger.shapes)
+        assert phases.shape == (len(ts), sum(J for J, _ in avger.shapes))
         return states_at(ts, phases)
 
     monkeypatch.setattr(avger, "states_at", recording)
@@ -550,6 +649,7 @@ def _dense_scan(inst, k_max, chunk=2048):
     measured against the d x d all-a1 state.  Returns (flags, distances)."""
     avger = inst.averager
     h = avger.h
+    orbits = _per_member_route(h, inst.ensemble.members)[0]
     places = rounding_precision(inst.eta, inst.eps1, h.site_dim)
     e1 = basis_state(h, a_cell("a1"))
     dt = grid_step(inst.eta, inst.eps1)
@@ -559,7 +659,7 @@ def _dense_scan(inst, k_max, chunk=2048):
     for done in range(0, k_max, chunk):
         ks = np.arange(done + 1, min(done + chunk, k_max) + 1)
         states = np.zeros((len(ks), *e1.shape), dtype=complex)
-        for orbit, _, w in avger.members:
+        for orbit, _, w in orbits:
             states += w * orbit_site_average(orbit, h, dt * ks)
         sums = running + np.cumsum(round_state(states, places), axis=0)
         running = sums[-1]
@@ -635,8 +735,10 @@ def test_compact_scan_matches_dense_reference(shuttle, iid_nd):
                                    t0_override=100), None))
     no_a1 = _no_a1_instance(shuttle)
     cases.append((no_a1, None))
-    a1 = no_a1.averager.h.value_index(a_cell("a1"))
-    assert not any(data.hist[:, a1].any() for _, data, _ in no_a1.averager.members)
+    h = no_a1.averager.h
+    a1 = h.value_index(a_cell("a1"))
+    orbits = _per_member_route(h, no_a1.ensemble.members)[0]
+    assert not any(data.hist[:, a1].any() for _, data, _ in orbits)
     compared = 0
     for inst, k in cases:
         avger = inst.averager
@@ -665,19 +767,27 @@ def _count_calls(monkeypatch, modname, name, counter):
 
 
 def test_decide_steps_each_member_once(tmp_path, monkeypatch):
-    """One compilation and one orbit per member, for the fixture floor and the
-    decision together (243 members, one control each)."""
+    """One compilation and one lockstep call that steps each member once, for
+    the fixture floor and the decision together (243 members, one control
+    each, one width), and no coded_orbit."""
     path = tmp_path / "inst.json"
     path.write_text(json.dumps({
         "inner": "halt_now", "variant": "one-way-amp", "decode": True,
         "mode": "anchored", "L": 5, "alpha": [1, 8], "v": "1", "eta": 0.74,
         "eps1": 0.30, "t0_override": 200, "gap_floor_from_fixture": True,
     }))
-    calls = {}
+    calls, stepped = {}, []
     _count_calls(monkeypatch, "hamca.hamiltonian", "compile_machine", calls)
     _count_calls(monkeypatch, "hamca.dynamics", "coded_orbit", calls)
+    lockstep = dynamics.lockstep_orbits
+
+    def counted(h, rows, *a):
+        stepped.append(len(rows))
+        return lockstep(h, rows, *a)
+
+    monkeypatch.setattr(dynamics, "lockstep_orbits", counted)
     assert main(["decide", str(path), "--out", str(tmp_path / "v.json")]) == 0
-    assert calls == {"compile_machine": 1, "coded_orbit": 243}
+    assert calls == {"compile_machine": 1} and stepped == [243]
     assert json.loads((tmp_path / "v.json").read_text())["verdict"] == "yes"
 
 
