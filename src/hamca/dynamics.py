@@ -261,9 +261,10 @@ def _one_site_pairs(h: LocalHamiltonian, arr_a: np.ndarray, arr_b: np.ndarray, o
         j = k
         # one bit per differing cell, at its first byte: the bits of each
         # byte of the XOR ORed down to bit 0 of the byte, then the bytes of a
-        # cell ORed down to its first byte
+        # cell ORed down to its first byte in doubling steps, none of which
+        # reaches into the next cell
         y = words_a[a] ^ words_b[b]
-        for shift in (4, 2, 1) + tuple(range(8, 8 * arr_a.itemsize, 8)):
+        for shift in (4, 2, 1) + tuple(8 << k for k in range(arr_a.itemsize.bit_length() - 1)):
             y |= y >> np.uint64(shift)
         y &= cell_bit
         # each word's bits summed in its top byte

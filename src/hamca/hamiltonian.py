@@ -61,7 +61,7 @@ class StepArrays(NamedTuple):
     where jump[c]; with x the code on that site, the step exists where
     ok[c, x] and leaves at_i[c, x] on site i and at_k[c, x] on the other."""
 
-    move: np.ndarray  # (d,) +1 for a read-write control, the shift's +1 or -1, else 0
+    move: np.ndarray  # (d,) +1 for a read-write control with a rule, a shift's +1 or -1, else 0
     jump: np.ndarray  # (d,) bool
     ok: np.ndarray  # (d, d) bool
     at_i: np.ndarray  # (d, d) codes

@@ -67,7 +67,8 @@ MAX_GRID_POINTS = 1 << 20
 
 # Entries of one grid chunk: a chunk holds max(1, GRID_CELLS // max(s + P,
 # sum J)) grid points, so that neither its packed (chunk, s + P) stack nor the
-# phase tables of the orbit shapes (chunk x J each) exceed GRID_CELLS entries.
+# phase table and amplitudes of all orbit shapes (chunk x sum J) exceed
+# GRID_CELLS entries.
 # A complex array of that many entries is 64 KiB; at 2^14 entries the scan
 # ran no faster and its peak RSS rose by 0.6-1.5 MB.
 GRID_CELLS = 1 << 12
@@ -421,9 +422,8 @@ class _EnsembleGridAverager:
             np.add.at(sums, at, np.concatenate([kernel_w, *terms]))
             kernel_w = sums
             self._add_block_shapes(groups, shape)
-        self._orbits = tuple(
-            np.concatenate(part or [np.zeros(0)]) for part in (orbit_shape, orbit_member, orbit_weight)
-        )
+        self._orbits = tuple(np.concatenate(part or [np.zeros(0)])
+                             for part in (orbit_shape, orbit_member, orbit_weight))
         self.values = np.flatnonzero(occupied)
         s = len(self.values)
         J, col0, pair0 = self._offsets()
@@ -511,7 +511,8 @@ class _EnsembleGridAverager:
         out[:, :s] = weights @ self.hist
         if len(self.entry_w):
             # in place, so that a chunk holds two (T, E) temporaries, not four
-            terms, other = amps.take(self.entry_cols[0], axis=1), amps.take(self.entry_cols[1], axis=1)
+            terms = amps.take(self.entry_cols[0], axis=1)
+            other = amps.take(self.entry_cols[1], axis=1)
             np.conjugate(other, out=other)
             terms *= other
             terms *= self.entry_w

@@ -1,6 +1,7 @@
 """Orbit dynamics: spectral evolution, time averages, dephasing, distances."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -286,6 +287,27 @@ def test_orbit_site_data_two_way_l40_matches_all_pairs(twoway_nd):
     _assert_site_data_matches_all_pairs(orbit, h)
 
 
+def test_one_site_pairs_count_cells_of_wide_codes(twoway_nd):
+    """The packed compare counts differing cells, not bytes: on 16-bit cells
+    with every code c relabelled as 257 c (so a differing cell differs in
+    both bytes), and on 32- and 64-bit cells, the scan finds the pairs it
+    finds on the 8-bit codes, with the relabelled values."""
+    h = compile_machine(twoway_nd)
+    rows = coded_orbit(h, anchored_configuration(twoway_nd, 9), 10_000).rows
+    same, one = _one_site_pairs(h, rows, rows)
+    for dtype, spread in ((np.uint16, 257), (np.uint32, 1), (np.uint64, 1)):
+        is_control = np.zeros((h.site_dim - 1) * spread + 1, dtype=bool)
+        is_control[np.arange(h.site_dim) * spread] = h.step_table.is_control
+        fake = SimpleNamespace(step_table=SimpleNamespace(is_control=is_control))
+        wide = rows.astype(dtype) * dtype(spread)
+        got_same, (ja, jb, va, vb) = _one_site_pairs(fake, wide, wide)
+        assert all(np.array_equal(x, y) for x, y in zip(got_same, same))
+        assert np.array_equal(ja, one[0]) and np.array_equal(jb, one[1])
+        assert np.array_equal(va, one[2] * dtype(spread))
+        assert np.array_equal(vb, one[3] * dtype(spread))
+    assert len(one[0]) > 0
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_orbit_site_data_random_configurations_match_all_pairs(single_control_rings, data):
@@ -388,7 +410,8 @@ def _assert_stacked_matches_member_terms(h, members):
             want.append((orbit.rows.tobytes(), orbit.rows.shape[1], orbit.kind,
                          float(w) * scale, data.hist, data.cross))
         assert len(got[k]) == len(want)
-        for mine, ref in zip(sorted(got[k], key=lambda x: x[:2]), sorted(want, key=lambda x: x[:2])):
+        by_rows = lambda x: x[:2]  # the codes and the width
+        for mine, ref in zip(sorted(got[k], key=by_rows), sorted(want, key=by_rows)):
             assert mine[:4] == ref[:4]
             assert np.array_equal(mine[4], ref[4]) and np.array_equal(mine[5], ref[5])
 
