@@ -233,9 +233,7 @@ def _one_site_pairs(h: LocalHamiltonian, arr_a: np.ndarray, arr_b: np.ndarray, o
     the rows of several orbits, ``orbit_of_row`` numbers each row's orbit and
     the buckets are (orbit, control site), so no pair joins two orbits.  The
     pairs are built and compared in slices of about ``_PAIR_CELLS`` cells, so
-    short orbits take one pass.  Each pair is compared as the XOR of its two
-    rows packed into 64-bit words (``_words``), so the differing sites of a
-    pair are the nonzero cells of that XOR.
+    short orbits take one pass.
     """
     is_ctrl = h.step_table.is_control
     site_b = is_ctrl[arr_b].argmax(axis=1) + arr_b.shape[1] * orbit_of_row
@@ -248,8 +246,6 @@ def _one_site_pairs(h: LocalHamiltonian, arr_a: np.ndarray, arr_b: np.ndarray, o
     # numbered from start[j] in one running count
     start = np.cumsum(size) - size
     step = max(1, _PAIR_CELLS // arr_a.shape[1])
-    words_a, cell_bit = _words(arr_a)
-    words_b = words_a if arr_b is arr_a else _words(arr_b)[0]
     same, one = [], []
     j = 0
     while j < len(arr_a):
@@ -259,42 +255,14 @@ def _one_site_pairs(h: LocalHamiltonian, arr_a: np.ndarray, arr_b: np.ndarray, o
         b = order[np.repeat(lo[j:k] - start[j:k], count)
                   + np.arange(start[j], start[j] + count.sum())]
         j = k
-        # one bit per differing cell, at its first byte: the bits of each
-        # byte of the XOR ORed down to bit 0 of the byte, then the bytes of a
-        # cell ORed down to its first byte in doubling steps, none of which
-        # reaches into the next cell
-        y = words_a[a] ^ words_b[b]
-        for shift in (4, 2, 1) + tuple(8 << k for k in range(arr_a.itemsize.bit_length() - 1)):
-            y |= y >> np.uint64(shift)
-        y &= cell_bit
-        # each word's bits summed in its top byte
-        word_hits = (y * _BYTE_ONES) >> np.uint64(56)
-        hits = word_hits.sum(axis=1)
+        diff = arr_a[a] != arr_b[b]
+        hits = diff.sum(axis=1)
         at = np.nonzero(hits == 0)[0]
         same.append((a[at], b[at]))
         at = np.nonzero(hits == 1)[0]
-        a, b, y, word_hits = a[at], b[at], y[at], word_hits[at]
-        # a word with one bit, at byte k, times a word whose byte k holds
-        # 7 - k holds k in its top byte; the one word with a bit gives the byte
-        byte = word_hits * (8 * np.arange(y.shape[1], dtype=np.uint64)
-                            + ((y * _BYTE_RANKS) >> np.uint64(56)))
-        i = (byte.sum(axis=1) // arr_a.itemsize).astype(np.intp)
+        a, b, i = a[at], b[at], diff[at].argmax(axis=1)
         one.append((a, b, arr_a[a, i], arr_b[b, i]))
     return tuple(map(np.concatenate, zip(*same))), tuple(map(np.concatenate, zip(*one)))
-
-
-_BYTE_ONES = np.uint64(0x0101010101010101)
-_BYTE_RANKS = np.uint64(0x0001020304050607)
-
-
-def _words(arr: np.ndarray):
-    """Rows of site-value codes packed into little-endian 64-bit words, zero
-    padded, and the word with one bit at the first byte of every cell."""
-    size = arr.shape[1] * arr.itemsize
-    packed = np.zeros((len(arr), -(-size // 8) * 8), dtype=np.uint8)
-    packed[:, :size] = np.ascontiguousarray(arr).view(np.uint8)
-    cell_bit = sum(1 << 8 * k for k in range(0, 8, arr.itemsize))
-    return packed.view("<u8"), np.uint64(cell_bit)
 
 
 def orbit_site_data(orbit, h: LocalHamiltonian) -> OrbitSiteData:

@@ -68,8 +68,12 @@ MAX_GRID_POINTS = 1 << 20
 # Entries of one grid chunk: a chunk holds max(1, GRID_CELLS // max(s + P,
 # sum J)) grid points, so that neither its packed (chunk, s + P) stack nor the
 # phase table and amplitudes of all orbit shapes (chunk x sum J) exceed
-# GRID_CELLS entries.
-# A complex array of that many entries is 64 KiB; at 2^14 entries the scan
+# GRID_CELLS entries.  The two (chunk, E) temporaries of the kernel entries
+# in states_at are not counted, and E is larger: 2.7 sum J on the 243-member
+# halting instance, 2.4 sum J at L = 10.  Counting them too made the
+# 243-member decides about 4 % slower, and lowered peak RSS by 0.1 MB of 38
+# at L = 5, 3 MB of 135 at L = 10 and 5 MB of 378 at L = 12.
+# A complex array of GRID_CELLS entries is 64 KiB; at 2^14 entries the scan
 # ran no faster and its peak RSS rose by 0.6-1.5 MB.
 GRID_CELLS = 1 << 12
 
@@ -82,8 +86,11 @@ SCREEN_MARGIN = 1e-9
 ORBIT_BUDGET = 200000
 
 # Ensemble members stepped and folded together by the grid averager; the
-# stacked rows of one batch bound its working set.
-MEMBER_BATCH = 1 << 12
+# stacked rows of one batch bound its working set.  decide on the halting
+# instance peaked at 64, 81, 101 and 130 MB at L = 10 with batches of 2^8,
+# 2^10, 2^11 and 2^12 members, each in 2.4-3.0 s, and at 281, 298 and 378 MB
+# at L = 12 with 2^8, 2^10 and 2^12, in 28, 25 and 24 s.
+MEMBER_BATCH = 1 << 10
 
 # Largest joint spectrum of a block configuration whose gap is certified.
 PRODUCT_GUARD = 200000
@@ -498,12 +505,9 @@ class _EnsembleGridAverager:
         """
         if phases is None:
             phases = self.phases(ts)
-        if len(self._blocks) == 1:
-            amps = phases @ self._blocks[0][1]
-        else:
-            amps = np.empty_like(phases)
-            for cols, vectors_t in self._blocks:
-                np.matmul(phases[:, cols], vectors_t, out=amps[:, cols])
+        amps = np.empty_like(phases)
+        for cols, vectors_t in self._blocks:
+            np.matmul(phases[:, cols], vectors_t, out=amps[:, cols])
         s = self.layout.s
         out = np.empty((len(ts), self.layout.width), dtype=complex)
         weights = np.abs(amps)

@@ -288,10 +288,10 @@ def test_orbit_site_data_two_way_l40_matches_all_pairs(twoway_nd):
 
 
 def test_one_site_pairs_count_cells_of_wide_codes(twoway_nd):
-    """The packed compare counts differing cells, not bytes: on 16-bit cells
-    with every code c relabelled as 257 c (so a differing cell differs in
-    both bytes), and on 32- and 64-bit cells, the scan finds the pairs it
-    finds on the 8-bit codes, with the relabelled values."""
+    """The compare counts differing cells, not bytes: on 16-bit cells with
+    every code c relabelled as 257 c (so a differing cell differs in both
+    bytes), and on 32- and 64-bit cells, the scan finds the pairs it finds
+    on the 8-bit codes, with the relabelled values."""
     h = compile_machine(twoway_nd)
     rows = coded_orbit(h, anchored_configuration(twoway_nd, 9), 10_000).rows
     same, one = _one_site_pairs(h, rows, rows)

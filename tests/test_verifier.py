@@ -530,12 +530,39 @@ def test_stacked_folds_match_the_per_member_route(shuttle, iid_nd, monkeypatch):
     assert kinds == {"cycle", "dead_end"} and n_shapes >= 5 and batches == 5
 
 
+def _own_dense_states_at(avger, ts):
+    """The dense route on the averager's own folds, with its arithmetic: each
+    shape's amplitudes through its eigenvectors, the diagonal |amps|^2 @ hist,
+    and the kernel entries' products, each layout pair's entries picked by
+    ``entry_pair`` and summed on their own, scattered into a (T, s, s) stack
+    of zeros."""
+    s = len(avger.values)
+    phases = avger.phases(ts)
+    spectra = list(avger.shapes.values())
+    col0 = np.cumsum([0] + [sp.length for sp in spectra])
+    amps = np.concatenate([np.zeros((len(ts), 0), dtype=complex)]
+                          + [phases[:, a:b] @ sp.vectors.T
+                             for a, b, sp in zip(col0, col0[1:], spectra)], axis=1)
+    out = np.zeros((len(ts), s, s), dtype=complex)
+    diag = np.arange(s)
+    out[:, diag, diag] = np.abs(amps) ** 2 @ avger.hist
+    # contiguous operands, as numpy's complex product rounds differently on
+    # strided ones; a sum in reduceat's order, which is not np.sum's
+    c0, c1 = avger.entry_cols
+    terms = amps.take(c0, axis=1) * np.conj(amps.take(c1, axis=1)) * avger.entry_w
+    for p, (v, w) in enumerate(zip(avger.layout.rows, avger.layout.cols)):
+        pair = np.ascontiguousarray(terms[:, avger.entry_pair == p])
+        out[:, v, w] = np.add.reduceat(pair, [0], axis=1)[:, 0]
+    return out
+
+
 def test_packed_states_equal_the_dense_stack(shuttle, iid_nd):
-    """Packed rows hold the entries of the dense stack built from the
-    per-member folds, to 1e-12; off the layout the unpacked rows, the dense
-    stack, and the per-member d x d sum outside the occupied values, are
-    exactly 0.  Each layout is closed under transpose and holds every
-    off-diagonal pair once."""
+    """Packed rows hold, bit for bit, the entries of the dense stack built
+    from the averager's own histogram and kernel entries, and to 1e-12 those
+    of the dense stack of the per-member folds; off the layout the unpacked
+    rows, both dense stacks, and the per-member d x d sum outside the
+    occupied values, are exactly 0.  Each layout is closed under transpose
+    and holds every off-diagonal pair once."""
     ts = np.concatenate([np.linspace(0.0, 7.0, 9), [123.4, 1999.9]])
     for h, members in _layout_cases(shuttle, iid_nd):
         avger = _EnsembleGridAverager(h, SimpleNamespace(members=members))
@@ -545,12 +572,15 @@ def test_packed_states_equal_the_dense_stack(shuttle, iid_nd):
         assert s == len(avger.values) and all(v != w for v, w in pairs)
         assert pairs == sorted(set(pairs)) and set(pairs) == {(w, v) for v, w in pairs}
         packed = avger.states_at(ts)
-        dense = _dense_states_at(oracle, ts)
+        own = _own_dense_states_at(avger, ts)
         assert packed.shape == (len(ts), layout.width)
+        assert np.array_equal(packed.view(np.uint64), layout.pack(own).view(np.uint64))
+        assert np.array_equal(layout.unpack(packed).view(np.uint64), own.view(np.uint64))
+        dense = _dense_states_at(oracle, ts)
         assert np.abs(packed - layout.pack(dense)).max() < 1e-12
         support = np.eye(s, dtype=bool)
         support[layout.rows, layout.cols] = True
-        assert not layout.unpack(packed)[:, ~support].any()
+        assert not own[:, ~support].any()
         assert not dense[:, ~support].any()
         full = np.zeros((h.site_dim,) * 2, dtype=bool)
         full[np.ix_(avger.values, avger.values)] = support
