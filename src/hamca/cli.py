@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -83,6 +84,19 @@ def fraction(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}")
 
 
+def _above(low, kind=int):
+    """An argparse type: a finite ``kind`` greater than ``low``."""
+
+    def parse(text):
+        x = kind(text)
+        if not low < x < math.inf:  # NaN fails both
+            raise argparse.ArgumentTypeError(f"{text!r} is not a finite {kind.__name__} > {low}")
+        return x
+
+    parse.__name__ = kind.__name__  # text that is no number keeps argparse's message
+    return parse
+
+
 def _load_machine(path):
     """A spec file that loads and validates; InputError otherwise."""
     try:
@@ -106,6 +120,8 @@ def _config_from_args(spec, args):
         m_count = round(float(args.alpha) * args.L)
     else:
         m_count = args.m_count or 0
+    if not 0 <= m_count <= args.L - 1:
+        raise InputError(f"{m_count} simulation cells do not fit sites 2..{args.L}")
     sites = scattered_m_sites(args.L, m_count, seed=args.seed) if m_count else {}
     return anchored_configuration(spec, args.L, sites, boundary=args.boundary)
 
@@ -298,20 +314,23 @@ def _instance_from_file(path, t0_override=None):
             boundary=data.get("boundary", "periodic"),
         )
         ensemble = build_initial_ensemble(spec, params, enc)
+        t0 = t0_override if t0_override is not None else data.get("t0_override")
+        if t0 is not None and not 0 < float(t0) < math.inf:
+            raise InputError(f"t0_override must be positive and finite, not {t0!r}")
         inst = DecisionInstance(
             machine=spec,
             ensemble=ensemble,
             eta=float(data["eta"]),
             eps1=float(data["eps1"]),
             gamma=data.get("gamma", 1),
-            t0_override=t0_override if t0_override is not None else data.get("t0_override"),
+            t0_override=None if t0 is None else float(t0),
             label=data.get("label", ""),
         )
     except KeyError as exc:
         raise InputError(f"instance file missing field {exc}")
     except InputError:
         raise
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, ArithmeticError) as exc:
         raise InputError(f"malformed instance field: {exc}")
     if data.get("gap_floor_from_fixture"):
         inst.gap_floor = fixture_gap_floor(inst)
@@ -392,7 +411,7 @@ def _add_machine_opts(p):
 
 
 def _add_config_opts(p):
-    p.add_argument("--L", type=int, default=8, help="tape length (cells)")
+    p.add_argument("--L", type=_above(0), default=8, help="tape length (cells)")
     p.add_argument("--alpha", type=fraction, default=None,
                    help="simulation-cell rate (fraction)")
     p.add_argument("--m-count", type=int, default=None, help="simulation cells, explicit count")
@@ -431,8 +450,8 @@ def _opts_gap(p):
 def _opts_evolve(p):
     _add_machine_opts(p)
     _add_config_opts(p)
-    p.add_argument("--t-max", type=float, default=20.0)
-    p.add_argument("--t-steps", type=int, default=41)
+    p.add_argument("--t-max", type=_above(-math.inf, float), default=20.0)
+    p.add_argument("--t-steps", type=_above(0), default=41)
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_evolve)
 
@@ -456,11 +475,11 @@ def _opts_decide(p):
 
 def _opts_sample_good(p):
     p.add_argument("--mode", default="anchored", choices=("anchored", "iid"))
-    p.add_argument("--n", type=int, default=64)
+    p.add_argument("--n", type=_above(0), default=64)
     p.add_argument("--alpha", type=fraction, default="1/8")
-    p.add_argument("--l", type=int, default=2)
-    p.add_argument("--L", type=int, default=2**18)
-    p.add_argument("--samples", type=int, default=100000)
+    p.add_argument("--l", type=_above(0), default=2)
+    p.add_argument("--L", type=_above(0), default=2**18)
+    p.add_argument("--samples", type=_above(0), default=100000)
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_sample_good)
 

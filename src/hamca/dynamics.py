@@ -30,15 +30,12 @@ from .hamiltonian import (
     reachable_space,
 )
 from .machine import (
-    MINUS,
     Configuration,
     MachineSpec,
     MalformedConfiguration,
     Orbit,
     RunStats,
-    is_control,
     run_stats,
-    split_blocks,
 )
 
 # Largest dimension built as a dense square array (cycle kernel, dense oracle).
@@ -364,69 +361,6 @@ def longterm_site_average(
     return rho.astype(complex), stats
 
 
-def member_orbit_terms(h: LocalHamiltonian, cfg: Configuration, max_steps: int):
-    """Orbit contributions of one configuration to the space average.
-
-    A single-control configuration contributes its own coded orbit with
-    weight one.
-    A multi-control configuration splits into non-interacting blocks, and the
-    space average over the whole lattice is the size-weighted sum of the
-    per-block space averages, so each block orbit enters with weight
-    block_size / lattice_size.  A control-free part (the whole configuration,
-    or the cells left of the first control on an open lattice) is frozen.
-    The split is refused when a block orbit ends on a left shift off the
-    start of its block: on the whole lattice that shift enters the
-    neighbouring block, so the blocks interact.
-    """
-    sites = cfg.control_sites()
-    if len(sites) > 1:
-        blocks = split_blocks(cfg, sites)
-        # every block starts at its control; only an open lattice's head has none
-        parts = [(b, 0 if is_control(b.cells[0]) else None) for b in blocks]
-    else:
-        parts = [(cfg, sites[0] if sites else None)]
-    out = []
-    for block, site in parts:
-        if site is None:
-            # no control: the update never acts, the part is frozen
-            frozen = CodedOrbit(h.encode([block.cells], _row_dtype(h)), ("dead_end", 1))
-            out.append((frozen, block.size / cfg.size))
-            continue
-        orbit = coded_orbit(h, block, max_steps, site)
-        head = h.site_values[orbit.rows[-1, 0]]
-        if (
-            block is not cfg
-            and orbit.kind == "dead_end"
-            and is_control(head)
-            and head[1] != h.rw_mode
-            and h.shift_dirs.get(head[2]) == MINUS
-        ):
-            raise MalformedConfiguration(
-                "block decomposition refused: a block orbit shifts left off its block"
-            )
-        out.append((orbit, block.size / cfg.size))
-    return out
-
-
-def ensemble_site_average(members, h: LocalHamiltonian, t: float, max_steps=100000):
-    """Space-averaged state of a classical mixture of configurations at time t.
-
-    ``members`` is an iterable of (Configuration, weight).  Each configuration
-    evolves inside its own orbit (per block, when it carries several control
-    sites); weights combine linearly, mixtures having no cross terms between
-    distinct initial configurations.
-    """
-    rho = np.zeros((h.site_dim, h.site_dim), dtype=complex)
-    total = 0.0
-    for cfg, weight in members:
-        for orbit, scale in member_orbit_terms(h, cfg, max_steps):
-            rho += float(weight) * scale * orbit_site_average(orbit, h, t)
-        total += float(weight)
-    if abs(total - 1.0) > 1e-9:
-        rho /= total
-    return rho
-
-
 @dataclass(frozen=True)
 class CodedOrbit:
     """An orbit as its (J, n) site-value codes, one row per step, in the
@@ -444,44 +378,33 @@ class CodedOrbit:
         return self.terminal[0]
 
 
-def coded_orbit(
-    h: LocalHamiltonian, cfg: Configuration, max_steps: int, control: int = None
-) -> CodedOrbit:
+def coded_orbit(h: LocalHamiltonian, cfg: Configuration, max_steps: int) -> CodedOrbit:
     """Forward orbit of a single-control configuration, stepped as a list of
-    site-value codes through ``h.step_table``, under the configuration's own
-    boundary.  It ends as ``machine.orbit_of`` does: at a dead end, in a cycle
-    on return to the start row (by injectivity no other row recurs), or
-    truncated after ``max_steps`` steps.  ``control`` is the configuration's
-    one control site, when the caller has already found it."""
-    rw_next, shift_next, _, _ = h.step_table
-    values, rw_mode = h.site_values, h.rw_mode
+    site-value codes through ``h.step_table`` by the rule of
+    ``lockstep_orbits``, under the configuration's own boundary.  It ends as
+    ``machine.orbit_of`` does: at a dead end, in a cycle on return to the
+    start row (by injectivity no other row recurs), or truncated after
+    ``max_steps`` steps."""
+    move, jump, ok, at_i, at_k = (a.tolist() for a in h.step_table[:5])
     periodic = cfg.boundary == "periodic"
-    i = i0 = cfg.single_control() if control is None else control
+    i = i0 = cfg.single_control()
     row = h.encode([cfg.cells])[0].tolist()
     start, c0, n = row[:], row[i], len(row)
     flat = row[:]
     kind = "dead_end"
     for _ in range(max_steps):
         c = row[i]
-        if values[c][1] == rw_mode:
-            k = 0 if i + 1 == n and periodic else i + 1
-            # None also at the open end, and when k is the control itself
-            hit = rw_next.get((c, row[k])) if k < n else None
-            if hit is None:
-                break
-            row[i], row[k] = hit
-        else:
-            hit = shift_next.get(c)
-            if hit is None:
-                break
-            c, k = hit[0], i + hit[1]
-            if periodic:
-                k %= n
-            elif not 0 <= k < n:
-                break
-            if k == i:  # a one-site ring: the control would swap with itself
-                break
-            row[i], row[k] = row[k], c
+        k = i + move[c]
+        if periodic:
+            k %= n
+        elif not 0 <= k < n:
+            break
+        x = row[k]
+        # k == i: no move, or a one-site ring's control would meet itself
+        if k == i or not ok[c][x]:
+            break
+        row[i], row[k] = at_i[c][x], at_k[c][x]
+        if jump[c]:
             i = k
         if i == i0 and row[i] == c0 and row == start:
             kind = "cycle"
@@ -523,14 +446,14 @@ def lockstep_orbits(
     width and boundary, the control of row k at ``sites[k]``; a row with
     site -1 holds no control and is a dead end of one step.  Each step is a
     few array operations on the rows still running, through the dense arrays
-    ``h.step_arrays``, and a row stops where ``coded_orbit`` stops: at a
+    ``h.step_table``, and a row stops where ``coded_orbit`` stops: at a
     dead end, on return to its start row (a cycle; the return is not
     stored), or after ``max_steps`` steps (truncated, with max_steps + 1
     rows).  Per step this costs tens of microseconds against a few for one
     ``coded_orbit`` step, so it pays only for many rows; ``coded_orbit``
     stays the stepper of single orbits.
     """
-    move, jump, ok, at_i, at_k = h.step_arrays
+    move, jump, ok, at_i, at_k = h.step_table[:5]
     m, n = rows.shape
     live = np.flatnonzero(sites >= 0)
     cur, at = rows[live], sites[live]
@@ -590,8 +513,8 @@ def lockstep_orbits(
 
 
 def _member_parts(h: LocalHamiltonian, codes: np.ndarray, periodic: bool):
-    """The parts ``member_orbit_terms`` splits each configuration into, on
-    the (M, n) codes of configurations of one width and boundary.
+    """The parts ``stacked_member_orbits`` splits each configuration into,
+    on the (M, n) codes of configurations of one width and boundary.
 
     Returns one array per field of the parts: the row of each part's
     configuration, its width, the site it starts at, its control site
@@ -630,23 +553,34 @@ def _member_parts(h: LocalHamiltonian, codes: np.ndarray, periodic: bool):
 
 
 def stacked_member_orbits(h: LocalHamiltonian, members, max_steps: int) -> list:
-    """The orbits ``member_orbit_terms`` gives for every configuration of
-    ``members`` [(Configuration, weight)], stepped in lockstep.
+    """The forward orbits of every configuration of ``members``
+    [(Configuration, weight)], stepped in lockstep.
+
+    A single-control configuration is one orbit of weight one.  A
+    multi-control configuration splits into non-interacting blocks, each a
+    control with the cells up to the next control, and the space average
+    over the whole lattice is the size-weighted sum of the per-block space
+    averages, so each block orbit enters with weight block width / lattice
+    width.  A control-free part (the whole configuration, or the cells left
+    of the first control on an open lattice) is frozen: one step, a dead
+    end.  The split is refused (``MalformedConfiguration``) when a block
+    orbit ends on a left shift off the start of its block: on the whole
+    lattice that shift enters the neighbouring block, so the blocks
+    interact.
 
     The configurations of one width and boundary are encoded in one
     ``h.encode`` call and split by ``_member_parts``; the parts of one width
     and boundary are stepped by one ``lockstep_orbits`` call.  Returns one
     (StackedOrbits, member, weight) triple per such group, giving per orbit
     the index of its configuration in ``members`` and the weight
-    w * part width / lattice width it enters the space average with.  The
-    block refusal of ``member_orbit_terms`` is raised on the stacked rows.
+    w * part width / lattice width it enters the space average with.
     """
     by_kind = {}
     for k, (cfg, _) in enumerate(members):
         by_kind.setdefault((cfg.size, cfg.boundary), []).append(k)
     weights = np.array([float(w) for _, w in members])
-    refuses = np.zeros(h.site_dim, dtype=bool)  # shift-mode controls that move left
-    refuses[[c for c, (_, by) in h.step_table.shift_next.items() if by == -1]] = True
+    table = h.step_table
+    refuses = table.jump & (table.move < 0)  # shift-mode controls that move left
     out = []
     for (n, boundary), ks in by_kind.items():
         codes = h.encode((members[k][0].cells for k in ks), _row_dtype(h))
@@ -656,9 +590,7 @@ def stacked_member_orbits(h: LocalHamiltonian, members, max_steps: int) -> list:
             cols = (start[at, None] + np.arange(w)) % n
             orbits = lockstep_orbits(h, codes[member[at, None], cols], site[at],
                                      boundary == "periodic" and not part_split, max_steps)
-            if part_split:
-                # on the whole lattice a left shift off a block's start enters
-                # the neighbouring block, so the blocks interact
+            if part_split:  # the block refusal, on each orbit's last row
                 ends = orbits.step == orbits.length[orbits.orbit] - 1
                 last = orbits.rows[ends, 0][np.argsort(orbits.orbit[ends])]
                 if (refuses[last] & (orbits.kind == KINDS.index("dead_end"))).any():

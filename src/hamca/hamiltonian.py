@@ -8,12 +8,12 @@ the subspace reachable from a seed set of configurations, which for a legal
 initial configuration is exactly its orbit.
 
 ``_apply_at`` (behind ``apply_update_dagger`` and ``reachable_space``) and
-``LocalHamiltonian.step_table`` (the pair maps in site-value codes, which
-``machine.run_stats`` and ``dynamics.coded_orbit`` step through, and
-``dynamics.lockstep_orbits`` through its dense form ``step_arrays``)
-deliberately re-implement the stepping mechanics from the pair maps alone,
-so agreement with ``machine.step`` is a two-route check of the compilation,
-not a tautology.
+``LocalHamiltonian.step_table`` (the pair maps as dense arrays over
+site-value codes, the one compiled form, which ``machine.run_stats``,
+``dynamics.coded_orbit`` and ``dynamics.lockstep_orbits`` all step through
+by one rule) deliberately re-implement the stepping mechanics from the pair
+maps alone, so agreement with ``machine.step`` is a two-route check of the
+compilation, not a tautology.
 """
 
 from __future__ import annotations
@@ -47,17 +47,8 @@ class DimensionGuard(ValueError):
 
 
 class StepTable(NamedTuple):
-    """The pair maps over site-value codes, for the integer steppers."""
-
-    rw_next: dict  # (control, cell) -> (control', cell')
-    shift_next: dict  # shift-mode control -> (read-write control, +1 or -1)
-    other: dict  # control -> the same state's control in the other mode
-    is_control: np.ndarray  # bool per site-value code
-
-
-class StepArrays(NamedTuple):
-    """The pair maps as dense arrays over site-value codes, for the lockstep
-    stepper: control c at site i acts on site i + move[c] and moves there
+    """The pair maps as dense arrays over site-value codes, for the compiled
+    steppers: control c at site i acts on site i + move[c] and moves there
     where jump[c]; with x the code on that site, the step exists where
     ok[c, x] and leaves at_i[c, x] on site i and at_k[c, x] on the other."""
 
@@ -66,6 +57,8 @@ class StepArrays(NamedTuple):
     ok: np.ndarray  # (d, d) bool
     at_i: np.ndarray  # (d, d) codes
     at_k: np.ndarray  # (d, d) codes
+    other: dict  # control -> the same state's control in the other mode
+    is_control: np.ndarray  # bool per site-value code
 
 
 @dataclass(frozen=True)
@@ -109,34 +102,23 @@ class LocalHamiltonian:
     @cached_property
     def step_table(self) -> StepTable:
         """The pair maps in site-value codes, built once per Hamiltonian."""
-        code = self.value_code
+        code, d = self.value_code, self.site_dim
         controls = {k: v for k, v in enumerate(self.site_values) if is_control(v)}
         other = {k: code[("Q", 1 - m, q)] for k, (_, m, q) in controls.items()}
-        rw_next = {
-            (code[("Q",) + src], code[cell]): (code[("Q",) + dst], code[cell2])
-            for (src, cell), (dst, cell2) in self.u0_pairs.items()
-        }
-        shift_next = {}
-        for q, d in self.shift_dirs.items():
-            c_rw = code[("Q", self.rw_mode, q)]
-            shift_next[other[c_rw]] = (c_rw, 1 if d == PLUS else -1)
-        is_ctrl = np.zeros(self.site_dim, dtype=bool)
-        is_ctrl[list(controls)] = True
-        return StepTable(rw_next, shift_next, other, is_ctrl)
-
-    @cached_property
-    def step_arrays(self) -> StepArrays:
-        """``step_table`` as dense arrays, built once per Hamiltonian."""
-        rw_next, shift_next, _, _ = self.step_table
-        d = self.site_dim
         move, jump = np.zeros(d, dtype=np.intp), np.zeros(d, dtype=bool)
         ok = np.zeros((d, d), dtype=bool)
         at_i, at_k = np.zeros((2, d, d), dtype=np.min_scalar_type(d - 1))
-        for (c, x), (c2, x2) in rw_next.items():
-            move[c], ok[c, x], at_i[c, x], at_k[c, x] = 1, True, c2, x2
-        for c, (c2, by) in shift_next.items():
-            move[c], jump[c], ok[c], at_i[c], at_k[c] = by, True, True, np.arange(d), c2
-        return StepArrays(move, jump, ok, at_i, at_k)
+        for (src, cell), (dst, cell2) in self.u0_pairs.items():
+            c, x = code[("Q",) + src], code[cell]
+            move[c], ok[c, x], at_i[c, x], at_k[c, x] = 1, True, code[("Q",) + dst], code[cell2]
+        for q, sign in self.shift_dirs.items():
+            c_rw = code[("Q", self.rw_mode, q)]
+            c = other[c_rw]  # a shift swaps the cell in and turns read-write
+            move[c], jump[c], ok[c], at_i[c], at_k[c] = (
+                1 if sign == PLUS else -1, True, True, np.arange(d), c_rw)
+        is_ctrl = np.zeros(d, dtype=bool)
+        is_ctrl[list(controls)] = True
+        return StepTable(move, jump, ok, at_i, at_k, other, is_ctrl)
 
 
 def compile_machine(spec: MachineSpec, boundary: str = "periodic") -> LocalHamiltonian:

@@ -426,13 +426,15 @@ def run_stats(
     n = len(lat)
     periodic = config.boundary == "periodic"
 
-    rw_next, shift_next, other, _ = h.step_table  # the pair maps in codes
+    move, jump, ok, at_i, at_k, other, _ = h.step_table  # the pair maps in codes
     state_of = {k: v[2] for k, v in enumerate(values) if v[0] == "Q"}
     glides = {}  # glide-starting control -> (direction, cells read by identity)
-    for c_sh, (c_rw, step_dir) in shift_next.items():
-        row = np.array([rw_next.get((c_rw, v)) == (c_sh, v) for v in range(V)])
+    for c_sh in np.flatnonzero(jump).tolist():
+        c_rw = other[c_sh]
+        row = ok[c_rw] & (at_i[c_rw] == c_sh) & (at_k[c_rw] == np.arange(V))
         if row.any():
-            glides[c_rw if step_dir > 0 else c_sh] = (step_dir, row)
+            glides[c_rw if move[c_sh] > 0 else c_sh] = (int(move[c_sh]), row)
+    move, jump, ok, at_i, at_k = (a.tolist() for a in (move, jump, ok, at_i, at_k))
 
     # the orbit is a cycle exactly when it reaches the start's predecessor
     prev = apply_update_dagger(h, config)
@@ -492,59 +494,42 @@ def run_stats(
                     lat[i] = c
                     j += 2 * g
                     continue
-        # one plain step
-        if values[c][1] == h.rw_mode:
-            r = i + 1
-            if r == n:
-                if not periodic:
-                    terminal = "dead_end"
-                    break
-                r = 0
-            old = int(lat[r])
-            hit = rw_next.get((c, old))  # None also when r is the control
-            if hit is None:
-                terminal = "dead_end"
-                break
-            c2, new = hit
-            j += 1
-            lat[i] = c2
-            if new != old:
-                lat[r] = new
-                for v, dv in ((old, -1), (new, 1)):
-                    totals[v] += count[v] * (j - count_start[v])
-                    count[v] += dv
-                    count_start[v] = j
-                t2 = track2[new]
-                if t2 in track and track2[old] != t2:
-                    track[t2].append(j)
-            if state_of[c2] != state_of[c]:
-                span = j - seg_start  # modes alternate, starting with seg_code
-                totals[seg_code] += (span + 1) // 2
-                totals[other[seg_code]] += span // 2
-                seg_start, seg_code = j, c2
-                label = label_of_state.get(state_of[c2])
-                if label is not None and label not in marks:
-                    marks[label] = j
-            c = c2
-        else:
-            hit = shift_next.get(c)
-            if hit is None:
-                terminal = "dead_end"
-                break
-            c2, d = hit
-            k = i + d
-            if not 0 <= k < n:
-                if not periodic:
-                    terminal = "dead_end"
-                    break
-                k %= n
-            if k == i:  # a one-site ring: the control would swap with itself
-                terminal = "dead_end"
-                break
-            j += 1
-            lat[i] = lat[k]
-            lat[k] = c2
-            i, c = k, c2
+        # one plain step, by the rule of dynamics.lockstep_orbits
+        k = i + move[c]
+        if periodic:
+            k %= n
+        elif not 0 <= k < n:
+            terminal = "dead_end"
+            break
+        old = int(lat[k])
+        # k == i: no move, or a one-site ring's control would meet itself
+        if k == i or not ok[c][old]:
+            terminal = "dead_end"
+            break
+        c2, new = at_i[c][old], at_k[c][old]
+        j += 1
+        lat[i] = c2
+        lat[k] = new
+        if jump[c]:  # a shift: the cell moves to i, the control on to k
+            i, c = k, new
+            continue
+        if new != old:
+            for v, dv in ((old, -1), (new, 1)):
+                totals[v] += count[v] * (j - count_start[v])
+                count[v] += dv
+                count_start[v] = j
+            t2 = track2[new]
+            if t2 in track and track2[old] != t2:
+                track[t2].append(j)
+        if state_of[c2] != state_of[c]:
+            span = j - seg_start  # modes alternate, starting with seg_code
+            totals[seg_code] += (span + 1) // 2
+            totals[other[seg_code]] += span // 2
+            seg_start, seg_code = j, c2
+            label = label_of_state.get(state_of[c2])
+            if label is not None and label not in marks:
+                marks[label] = j
+        c = c2
 
     J = j
     span = J + 1 - seg_start
@@ -604,37 +589,6 @@ def stats_average(stats: RunStats, track2_symbol: str, n_sites: int) -> Fraction
         if value[0] != "Q" and cell_track2(value) == track2_symbol:
             total += duration
     return Fraction(total, stats.length * n_sites)
-
-
-# ---------------------------------------------------------------------------
-# Block decomposition (independent sub-machines between control sites)
-# ---------------------------------------------------------------------------
-
-
-def split_blocks(config: Configuration, sites: list = None) -> list:
-    """Split a multi-control configuration into per-block configurations.
-
-    A dynamical block is a control site together with the run of cells to its
-    right, up to the next control site; on an open lattice the last block
-    stops at the lattice end, and the cells left of the first control come
-    first as a control-free part.  Each part is returned as an open
-    configuration, since its machine can never leave it.  ``sites`` are the
-    configuration's control sites, when the caller has already found them.
-    """
-    if sites is None:
-        sites = config.control_sites()
-    if not sites:
-        raise MalformedConfiguration("no control site")
-    first = sites[0]
-    cells = config.cells
-    if config.boundary == "periodic":
-        body, head = cells[first:] + cells[:first], ()
-    else:
-        body, head = cells[first:], cells[:first]
-    starts = [s - first for s in sites] + [len(body)]
-    parts = [head] if head else []
-    parts += [body[a:b] for a, b in zip(starts, starts[1:])]
-    return [Configuration(p, "open") for p in parts]
 
 
 # ---------------------------------------------------------------------------

@@ -240,6 +240,19 @@ _INSTANCE = {"inner": "halt_now", "variant": "one-way-amp", "decode": False,
     (["evolve", "--machine", "no_a1.json"], None),
     (["timeavg", "--machine", "no_a1.json"], None),
     (["decide"], {"machine_ref": "no_a1.json"}),
+    (["evolve", "--t-steps", "-1"], None),
+    (["evolve", "--t-max", "nan"], None),
+    (["evolve", "--t-max", "inf"], None),
+    *[([verb, "--m-count", "50", "--L", "3"], None)
+      for verb in ("timeavg", "evolve", "gap", "orbit")],
+    (["sample-good", "--n", "0"], None),
+    (["sample-good", "--L", "0"], None),
+    (["sample-good", "--L", "-1"], None),
+    (["sample-good", "--mode", "iid", "--l", "0"], None),
+    (["sample-good", "--samples", "0"], None),
+    (["decide"], {"t0_override": "nan"}),
+    (["decide"], {"t0_override": 0}),
+    (["decide"], {"t0_override": -1}),
 ])
 def test_malformed_input_exit_2(tmp_path, capsys, argv, instance):
     """Every malformed input exits 2 with a one-line message, no traceback."""

@@ -16,11 +16,9 @@ from hamca.dynamics import (
     dense_cross_term,
     dense_space,
     dephasing_cross_term,
-    ensemble_site_average,
     evolve_spectral,
     lockstep_orbits,
     longterm_site_average,
-    member_orbit_terms,
     orbit_site_average,
     orbit_site_data,
     overlap_kernel,
@@ -48,11 +46,12 @@ from hamca.machine import (
     Configuration,
     a_cell,
     control,
-    is_control,
     run_orbit,
-    split_blocks,
+    run_stats,
 )
 from hamca.staged import FIXTURES, VARIANTS, build_staged_machine
+
+from conftest import reference_orbit_terms, reference_site_average
 
 
 def test_evolve_identity_at_zero(oneway_nd, h_oneway_nd):
@@ -177,7 +176,7 @@ def test_site_average_matches_dense(oneway, h_oneway, rng):
     params = EnsembleParams("anchored", L=4, alpha=Fraction(1, 4))
     ens = build_initial_ensemble(oneway, params, enc)
     for t in rng.uniform(0, 30, 4):
-        rho_orbit = ensemble_site_average(ens.members, h_oneway, float(t))
+        rho_orbit = reference_site_average(h_oneway, ens.members, float(t))
         rho_dense = np.zeros_like(rho_orbit)
         for cfg, w in ens.members:
             ds = dense_space(h_oneway, [cfg])
@@ -363,7 +362,8 @@ def test_coded_orbit_shuttle_cycles_and_budgets(shuttle, twoway_nd):
 
 def test_coded_orbit_one_site_ring(shuttle, oneway):
     """A lone control: it reads itself, or would swap with itself, so every
-    state and mode is a dead end after one row, on either boundary."""
+    state and mode is a dead end after one row, on either boundary, in
+    coded_orbit, lockstep_orbits and run_stats alike."""
     for spec in (shuttle, oneway):
         for boundary in ("periodic", "open"):
             h = compile_machine(spec, boundary)
@@ -372,6 +372,11 @@ def test_coded_orbit_one_site_ring(shuttle, oneway):
                     cfg = Configuration((control(mode, q),), boundary)
                     got = _assert_coded_orbit_matches_reference(spec, h, cfg)
                     assert got.terminal == ("dead_end", 1)
+                    ref = run_orbit(spec, cfg, 10_000)  # machine.step's orbit
+                    stats = run_stats(spec, cfg, 10_000)
+                    assert (stats.length, stats.terminal) == (ref.length, ref.kind)
+                    assert (stats.first_hist == stats.last_hist
+                            == stats.total_steps_by_value == {cfg.cells[0]: 1})
 
 
 @settings(max_examples=200, deadline=None)
@@ -381,9 +386,9 @@ def test_coded_orbit_random_configurations_match_reference(single_control_rings,
     _assert_coded_orbit_matches_reference(spec, compile_machine(spec, cfg.boundary), cfg)
 
 
-def _assert_stacked_matches_member_terms(h, members):
+def _assert_stacked_matches_reference(h, members):
     """stacked_member_orbits gives each configuration the orbits and weights
-    of member_orbit_terms, and the one-site scan of a stacked group, bucketed
+    of reference_orbit_terms, and the one-site scan of a stacked group, bucketed
     by (orbit, control site), gives each orbit the histogram and the cross
     rows of orbit_site_data and of the all-pairs reference, in (j, j') order."""
     d = h.site_dim
@@ -403,7 +408,7 @@ def _assert_stacked_matches_member_terms(h, members):
     assert sorted(got) == list(range(len(members)))
     for k, (cfg, w) in enumerate(members):
         want = []
-        for orbit, scale in member_orbit_terms(h, cfg, 10_000):
+        for orbit, scale in reference_orbit_terms(h, cfg, 10_000):
             data = orbit_site_data(orbit, h)
             hist, cross = _all_pairs_from_codes(orbit.rows, h)
             assert np.array_equal(data.hist, hist) and np.array_equal(data.cross, cross)
@@ -421,7 +426,7 @@ def test_stacked_member_orbits_anchored_ensemble(oneway):
     params = EnsembleParams("anchored", L=4, alpha=Fraction(1, 4))
     ens = build_initial_ensemble(oneway, params, encode_input("1", Fraction(1, 4)))
     assert len(ens.members) > 20
-    _assert_stacked_matches_member_terms(h, ens.members)
+    _assert_stacked_matches_reference(h, ens.members)
 
 
 def test_stacked_member_orbits_iid_blocks(iid_nd):
@@ -438,7 +443,7 @@ def test_stacked_member_orbits_iid_blocks(iid_nd):
         groups = stacked_member_orbits(h, ens.members + extra, 10_000)
         widths = {orbits.rows.shape[1] for orbits, _, _ in groups}
         assert widths == {1, 2, 3, 4, 5, 6}
-        _assert_stacked_matches_member_terms(h, ens.members + extra)
+        _assert_stacked_matches_reference(h, ens.members + extra)
 
 
 def test_stacked_member_orbits_shuttle_cycles_and_budgets(shuttle):
@@ -448,7 +453,7 @@ def test_stacked_member_orbits_shuttle_cycles_and_budgets(shuttle):
     h = compile_machine(shuttle)
     members = [(Configuration((glide,) + cells), Fraction(1, 4))
                for cells in ((a1, a2, a1), (a2, a1, a1), (a1, a1, a1), (a2, a2, a2))]
-    _assert_stacked_matches_member_terms(h, members)
+    _assert_stacked_matches_reference(h, members)
     (orbits, _, _), = stacked_member_orbits(h, members, 10_000)
     assert {KINDS[k] for k in orbits.kind} == {"cycle"}
     J = int(orbits.length.max())
@@ -460,64 +465,12 @@ def test_stacked_member_orbits_shuttle_cycles_and_budgets(shuttle):
             assert np.array_equal(cut.rows[cut.orbit == k], ref.rows)
 
 
-def _reference_orbit_terms(h, cfg, max_steps):
-    """member_orbit_terms with every control site looked up anew: blocks from
-    split_blocks, each block's control from its own scan."""
-    blocks = split_blocks(cfg) if len(cfg.control_sites()) > 1 else [cfg]
-    out = []
-    for block in blocks:
-        if block.control_sites():
-            out.append((coded_orbit(h, block, max_steps), block.size / cfg.size))
-        else:
-            out.append((None, block.size / cfg.size))
-    return out
-
-
-def _assert_member_terms_match_reference(h, configs, monkeypatch):
-    """Equal rows, terminals and weights, and one control scan per member."""
-    scans = {"n": 0}
-    orig = Configuration.control_sites
-
-    def counted(cfg):
-        scans["n"] += 1
-        return orig(cfg)
-
-    for cfg in configs:
-        want = _reference_orbit_terms(h, cfg, 10_000)
-        with monkeypatch.context() as mp:
-            mp.setattr(Configuration, "control_sites", counted)
-            scans["n"] = 0
-            got = member_orbit_terms(h, cfg, 10_000)
-            assert scans["n"] == 1
-        assert [w for _, w in got] == [w for _, w in want]
-        for (orbit, _), (ref, _) in zip(got, want):
-            if ref is None:  # frozen part: its one row, a dead end of length one
-                assert orbit.terminal == ("dead_end", 1)
-                assert not any(is_control(h.site_values[v]) for v in orbit.rows[0])
-            else:
-                assert orbit.terminal == ref.terminal
-                assert orbit.rows.dtype == ref.rows.dtype
-                assert np.array_equal(orbit.rows, ref.rows)
-
-
 @FIXTURE_TABLE
-def test_member_orbit_terms_fixture_table(inner, variant, decode, boundary, monkeypatch):
+def test_stacked_member_orbits_fixture_table(inner, variant, decode, boundary):
+    """One lockstep group per width, against the reference split of every
+    configuration of a fixture-table row."""
     rows = list(_fixture_configs(inner, variant, decode, boundary))
-    _assert_member_terms_match_reference(rows[0][1], [cfg for _, _, cfg in rows], monkeypatch)
-
-
-def test_member_orbit_terms_blocks_and_control_free(iid_nd, monkeypatch):
-    """Multi-control members on both boundaries (with the control-free head of
-    an open lattice), and configurations without any control."""
-    a1, a2 = a_cell("a1"), a_cell("a2")
-    for boundary in ("open", "periodic"):
-        params = EnsembleParams("iid", L=5, alpha=Fraction(0), l=2, boundary=boundary)
-        ens = build_initial_ensemble(iid_nd, params, encode_input("1", Fraction(0)))
-        configs = [cfg for cfg, _ in ens.members]
-        assert any(len(cfg.control_sites()) > 1 for cfg in configs)
-        configs += [Configuration((a1, a2, a1), boundary), Configuration((a2,), boundary)]
-        h = compile_machine(iid_nd, boundary)
-        _assert_member_terms_match_reference(h, configs, monkeypatch)
+    _assert_stacked_matches_reference(rows[0][1], [(cfg, Fraction(1, 2)) for _, _, cfg in rows])
 
 
 def _path_kernel(J):
@@ -718,9 +671,9 @@ def test_mixture_linearity(oneway, h_oneway):
     params = EnsembleParams("anchored", L=3, alpha=Fraction(1, 4))
     ens = build_initial_ensemble(oneway, params, enc)
     t = 2.1
-    whole = ensemble_site_average(ens.members, h_oneway, t)
+    whole = reference_site_average(h_oneway, ens.members, t)
     parts = sum(
-        float(w) * ensemble_site_average([(c, Fraction(1))], h_oneway, t)
+        float(w) * reference_site_average(h_oneway, [(c, Fraction(1))], t)
         for c, w in ens.members
     )
     assert np.abs(whole - parts).max() < 1e-12
@@ -732,7 +685,7 @@ def test_block_product_site_average_matches_dense(iid_nd):
     a1 = a_cell("a1")
     cfg = Configuration((e0, a1, e0, a1, a1))
     t = 3.3
-    rho_blocks = ensemble_site_average([(cfg, Fraction(1))], h, t)
+    rho_blocks = reference_site_average(h, [(cfg, Fraction(1))], t)
     ds = dense_space(h, [cfg])
     rho_dense = ds.site_average(ds.evolve(ds.state_vector(cfg), t))
     assert np.abs(rho_blocks - rho_dense).max() < 1e-12
@@ -747,6 +700,6 @@ def test_open_lattice_block_split_matches_dense(oneway_nd):
     cfg = Configuration((a1, e0, a1, e0, a1, a1), "open")
     ds = dense_space(h, [cfg])
     for t in (1.0, 3.3, 7.0):
-        rho_blocks = ensemble_site_average([(cfg, Fraction(1))], h, t)
+        rho_blocks = reference_site_average(h, [(cfg, Fraction(1))], t)
         rho_dense = ds.site_average(ds.evolve(ds.state_vector(cfg), t))
         assert np.abs(rho_blocks - rho_dense).max() < 1e-9

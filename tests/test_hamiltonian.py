@@ -37,10 +37,11 @@ from hamca.machine import (
     control,
     is_control,
     run_orbit,
-    split_blocks,
     step,
 )
 from hamca.staged import FIXTURES, VARIANTS, build_staged_machine
+
+from conftest import split_blocks
 
 
 def test_dagger_undoes_step_along_runs(oneway, h_oneway, rng):
@@ -154,8 +155,6 @@ def test_block_isolation_structural(iid_nd):
     cfg = Configuration(cells)
     space = reachable_space(h, [cfg])
     # the closure factorizes: dim equals the product of block orbit lengths
-    from hamca.machine import split_blocks
-
     blocks = split_blocks(cfg)
     j1 = run_orbit_cached(blocks[0], h, 1000).length
     j2 = run_orbit_cached(blocks[1], h, 1000).length
@@ -308,18 +307,29 @@ def test_min_distinct_gap_is_the_smallest_step_above_tol():
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_step_table_decodes_to_the_pair_maps(variant):
-    """The integer table is the pair maps in site-value codes, built once."""
+    """The dense table decodes back to the pair maps, the other-mode map and
+    the control mask, and is built once per Hamiltonian."""
     h = compile_machine(build_staged_machine("ping_pong", variant))
     table = h.step_table
     assert h.step_table is table
-    vals = h.site_values
-    rw = {((vals[c][1], vals[c][2]), vals[x]): ((vals[c2][1], vals[c2][2]), vals[x2])
-          for (c, x), (c2, x2) in table.rw_next.items()}
+    vals, d = h.site_values, h.site_dim
+    rw, shifts = {}, {}
+    for c in range(d):
+        if not table.ok[c].any():  # no step from c: a cell, or a control without one
+            assert table.move[c] == 0 and not table.jump[c]
+            continue
+        _, mode, q = vals[c]
+        if table.jump[c]:  # a shift: any cell swaps in, the control turns read-write
+            assert mode != h.rw_mode and table.ok[c].all()
+            assert table.at_i[c].tolist() == list(range(d))
+            assert set(table.at_k[c].tolist()) == {h.value_index(("Q", h.rw_mode, q))}
+            shifts[q] = {1: PLUS, -1: MINUS}[int(table.move[c])]
+        else:  # read-write onto the cell to the right
+            assert mode == h.rw_mode and table.move[c] == 1
+            for x in np.flatnonzero(table.ok[c]).tolist():
+                c2, x2 = table.at_i[c, x], table.at_k[c, x]
+                rw[((mode, q), vals[x])] = ((vals[c2][1], vals[c2][2]), vals[x2])
     assert rw == h.u0_pairs
-    shifts = {}
-    for c, (c2, d) in table.shift_next.items():
-        assert vals[c][1] != h.rw_mode and vals[c2] == ("Q", h.rw_mode, vals[c][2])
-        shifts[vals[c][2]] = PLUS if d == 1 else MINUS
     assert shifts == h.shift_dirs
     assert table.is_control.tolist() == [is_control(v) for v in vals]
     for c, c2 in table.other.items():

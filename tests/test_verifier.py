@@ -20,8 +20,6 @@ from hamca.cli import main
 from hamca.dynamics import (
     add_site_states,
     basis_state,
-    ensemble_site_average,
-    member_orbit_terms,
     orbit_site_average,
     orbit_site_data,
     run_orbit_cached,
@@ -67,6 +65,8 @@ from hamca.verifier import (
     taylor_bound_check,
     truncated_evolution,
 )
+
+from conftest import reference_orbit_terms, reference_site_average
 from test_dynamics import FIXTURE_TABLE, _fixture_configs
 
 
@@ -334,7 +334,7 @@ def test_block_mode_refuses_interacting_blocks():
 
 def _per_member_route(h, members):
     """The per-member route the stacked averager replaced, kept as its
-    oracle: member_orbit_terms (one coded_orbit per block) and
+    oracle: reference_orbit_terms (one coded_orbit per block) and
     orbit_site_data per orbit, folded shape by shape.
 
     Returns the (orbit, data, weight) triples, the sorted tuples of block
@@ -343,7 +343,7 @@ def _per_member_route(h, members):
     v and v' positions in the values."""
     orbits, block_shapes = [], set()
     for cfg, w in members:
-        terms = member_orbit_terms(h, cfg, verifier.ORBIT_BUDGET)
+        terms = reference_orbit_terms(h, cfg, verifier.ORBIT_BUDGET)
         block_shapes.add(tuple(sorted((o.length, o.kind) for o, _ in terms)))
         orbits += [(o, orbit_site_data(o, h), float(w) * scale) for o, scale in terms]
     occupied = np.zeros(h.site_dim, dtype=bool)
@@ -438,7 +438,7 @@ def test_states_at_matches_per_member_sum(shuttle, oneway, iid_nd):
     """Folded grid states equal the per-member add_site_states sum, and the
     per-shape gap equals the per-member one, for a cycle orbit with a block
     member, a block ensemble and anchored ensembles of many members; the two
-    small mixtures also match ensemble_site_average."""
+    small mixtures also match reference_site_average."""
     glide, a1, a2 = control(0, "glide"), a_cell("a1"), a_cell("a2")
     # the two block members share their first block and differ in the gap
     mixed = [(Configuration((glide, a1, a2, a1)), Fraction(1, 3)),
@@ -468,7 +468,7 @@ def test_states_at_matches_per_member_sum(shuttle, oneway, iid_nd):
         assert avger.min_orbit_gap() == _per_member_gap(oracle)
         if small:
             for k, t in enumerate(ts):
-                want = ensemble_site_average(members, h, t)
+                want = reference_site_average(h, members, t)
                 assert np.abs(got[k] - want).max() < 1e-12
 
 
