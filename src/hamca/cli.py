@@ -97,6 +97,14 @@ def _above(low, kind=int):
     return parse
 
 
+def rate(text: str) -> Fraction:
+    """An argparse type: a fraction in [0, 1), as a cell rate alpha is."""
+    x = fraction(text)
+    if not 0 <= x < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a rate in [0, 1)")
+    return x
+
+
 def _load_machine(path):
     """A spec file that loads and validates; InputError otherwise."""
     try:
@@ -476,7 +484,7 @@ def _opts_decide(p):
 def _opts_sample_good(p):
     p.add_argument("--mode", default="anchored", choices=("anchored", "iid"))
     p.add_argument("--n", type=_above(0), default=64)
-    p.add_argument("--alpha", type=fraction, default="1/8")
+    p.add_argument("--alpha", type=rate, default="1/8")
     p.add_argument("--l", type=_above(0), default=2)
     p.add_argument("--L", type=_above(0), default=2**18)
     p.add_argument("--samples", type=_above(0), default=100000)
@@ -539,6 +547,9 @@ def main(argv=None) -> int:
         return 2
     except (DimensionGuard, TruncatedOrbit, PromiseViolation) as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:  # numpy names the allocation; Python leaves it blank
+        print(f"resource guard: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     except AssertionError as exc:  # pragma: no cover
         print(f"internal invariant failure: {exc}", file=sys.stderr)

@@ -386,12 +386,6 @@ class RunStats:
     stage_entry_steps: dict
 
 
-def _glide_length(ok: np.ndarray) -> int:
-    """Number of leading True entries of a non-empty boolean array."""
-    k = int(ok.argmin())
-    return k if not ok[k] else len(ok)
-
-
 def run_stats(
     spec: MachineSpec,
     config: Configuration,
@@ -401,13 +395,16 @@ def run_stats(
     """Run forward by ``compile_machine``'s pair maps, counting exactly.
 
     Site values are coded by ``LocalHamiltonian.encode`` and the lattice is a
-    numpy int array.  Almost every step belongs to a glide: identity
-    read-write steps alternating with shifts across the cells they leave
-    unchanged.  A glide keeps the cell multiset and the control
-    state fixed, so it costs one vectorized scan for the cell that ends it
-    and one slice move of the cells it passes, and the statistics follow from
-    per-value counts times durations.  Every other step is one plain Python
-    step: O(events) Python steps plus O(n) vectorized work per glide.
+    ``bytearray`` of those codes, one byte per site, so a machine with more
+    than 256 site values is refused with ``DimensionGuard`` before any step.
+    Almost every step belongs to a glide: identity read-write steps
+    alternating with shifts across the cells they leave unchanged.  A glide
+    keeps the cell multiset and the control state fixed, so it costs one
+    ``lstrip``/``rstrip`` of the lattice by the codes it passes, which finds
+    the cell that ends it, and one slice move of the cells it passes; the
+    statistics follow from per-value counts times durations.  Every other
+    step is one plain Python step on ints: O(events) Python steps plus O(n)
+    bytes work per glide.
 
     A "+" state glides from read-write mode and reads each cell it passes; a
     "-" state glides from shift mode and reads each cell right after pulling
@@ -416,39 +413,50 @@ def run_stats(
     reach the site of the start's predecessor in that predecessor's state,
     where the loop checks for cycle closure.
     """
-    from .hamiltonian import apply_update_dagger, compile_machine  # imports this module
+    from .hamiltonian import (  # imports this module
+        DimensionGuard,
+        apply_update_dagger,
+        compile_machine,
+    )
 
     i0 = config.single_control()
     h = compile_machine(spec, config.boundary)
     values = h.site_values
     V = len(values)
-    lat = h.encode([config.cells])[0]
+    if V > 256:
+        raise DimensionGuard(f"{V} site values exceed the 256 of the byte lattice")
+    codes = h.encode([config.cells], np.uint8)[0]
+    lat = bytearray(codes)
     n = len(lat)
     periodic = config.boundary == "periodic"
 
     move, jump, ok, at_i, at_k, other, _ = h.step_table  # the pair maps in codes
     state_of = {k: v[2] for k, v in enumerate(values) if v[0] == "Q"}
-    glides = {}  # glide-starting control -> (direction, cells read by identity)
-    for c_sh in np.flatnonzero(jump).tolist():
-        c_rw = other[c_sh]
-        row = ok[c_rw] & (at_i[c_rw] == c_sh) & (at_k[c_rw] == np.arange(V))
-        if row.any():
-            glides[c_rw if move[c_sh] > 0 else c_sh] = (int(move[c_sh]), row)
-    move, jump, ok, at_i, at_k = (a.tolist() for a in (move, jump, ok, at_i, at_k))
 
     # the orbit is a cycle exactly when it reaches the start's predecessor
     prev = apply_update_dagger(h, config)
     if prev is None:
         i_prev, c_prev, q_prev, lat_prev = -1, -1, None, None
     else:
-        lat_prev = h.encode([prev.cells])[0]
+        lat_prev = h.encode([prev.cells], np.uint8)[0].tobytes()
         i_prev = prev.single_control()
-        c_prev = int(lat_prev[i_prev])
+        c_prev = lat_prev[i_prev]
         q_prev = state_of[c_prev]
 
-    count = np.bincount(lat, minlength=V).tolist()
+    # glide-starting control -> (direction, codes read by identity, whether
+    # the glide must stop short of the predecessor's control site)
+    glides = [None] * V
+    for c_sh in np.flatnonzero(jump).tolist():
+        c_rw = other[c_sh]
+        row = ok[c_rw] & (at_i[c_rw] == c_sh) & (at_k[c_rw] == np.arange(V))
+        if row.any():
+            glides[c_rw if move[c_sh] > 0 else c_sh] = (
+                int(move[c_sh]), bytes(np.flatnonzero(row).tolist()), state_of[c_rw] == q_prev)
+    move, jump, ok, at_i, at_k = (a.tolist() for a in (move, jump, ok, at_i, at_k))
+
+    count = np.bincount(codes, minlength=V).tolist()
     first_hist = {values[k]: m for k, m in enumerate(count) if m}
-    c = int(lat[i0])
+    c = lat[i0]
     count[c] -= 1  # cells only: the control is accounted per state segment
     count_start = [1] * V  # configuration from which count[v] has held
     totals = [0] * V
@@ -464,31 +472,31 @@ def run_stats(
     j = 1
     terminal = "truncated"
     while j <= max_steps:
-        if i == i_prev and c == c_prev and np.array_equal(lat, lat_prev):
+        if i == i_prev and c == c_prev and lat == lat_prev:
             terminal = "cycle"
             break
-        glide = glides.get(c)
+        glide = glides[c]
         if glide is not None:
-            d, row = glide
-            room = (max_steps - j + 1) // 2  # glide pairs the budget allows
-            guard = state_of[c] == q_prev
-            if d > 0:
-                hi = min(n, i + 1 + room)
+            d, row, guard = glide
+            if d > 0 and i + 1 < n and lat[i + 1] in row:
+                hi = min(n, i + 1 + (max_steps - j + 1) // 2)  # the budget's glide pairs
                 if guard and i_prev >= i:
                     hi = min(hi, i_prev)
-                if hi > i + 1 and row[lat[i + 1]]:
-                    g = _glide_length(row[lat[i + 1:hi]])
+                if hi > i + 1:
+                    run = lat[i + 1:hi]
+                    g = len(run) - len(run.lstrip(row))
                     lat[i:i + g] = lat[i + 1:i + g + 1]
                     i += g
                     lat[i] = c
                     j += 2 * g
                     continue
-            else:
-                lo = max(0, i - room)
+            elif d < 0 and i > 0 and lat[i - 1] in row:
+                lo = max(0, i - (max_steps - j + 1) // 2)
                 if guard and i_prev < i:
                     lo = max(lo, i_prev + 1)
-                if lo < i and row[lat[i - 1]]:
-                    g = _glide_length(row[lat[lo:i][::-1]])
+                if lo < i:
+                    run = lat[lo:i]
+                    g = len(run) - len(run.rstrip(row))
                     lat[i - g + 1:i + 1] = lat[i - g:i]
                     i -= g
                     lat[i] = c
@@ -501,7 +509,7 @@ def run_stats(
         elif not 0 <= k < n:
             terminal = "dead_end"
             break
-        old = int(lat[k])
+        old = lat[k]
         # k == i: no move, or a one-site ring's control would meet itself
         if k == i or not ok[c][old]:
             terminal = "dead_end"

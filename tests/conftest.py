@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -87,6 +89,16 @@ def single_control_rings():
         return spec, Configuration(cells, boundary)
 
     return rings()
+
+
+def pad_alphabet(spec, site_values):
+    """``spec`` with unused amplification symbols appended to its cell
+    alphabet until it has ``site_values`` site values.  Cells come first in
+    the site-value order, so the controls take the top codes."""
+    d = compile_machine(spec).site_dim
+    pad = tuple(f"pad{k}" for k in range(site_values - d))
+    symbols = dataclasses.replace(spec.symbols, a_track2=spec.symbols.a_track2 + pad)
+    return dataclasses.replace(spec, symbols=symbols)
 
 
 def split_blocks(config):

@@ -27,6 +27,8 @@ from hamca.hamiltonian import (
 from hamca.machine import a_cell, run_orbit, spec_to_json
 from hamca.staged import build_staged_machine, shuttle_machine
 
+from conftest import pad_alphabet
+
 
 def run(args):
     return main(args)
@@ -250,6 +252,8 @@ _INSTANCE = {"inner": "halt_now", "variant": "one-way-amp", "decode": False,
     (["sample-good", "--L", "-1"], None),
     (["sample-good", "--mode", "iid", "--l", "0"], None),
     (["sample-good", "--samples", "0"], None),
+    (["sample-good", "--alpha", "2"], None),
+    (["sample-good", "--alpha", "-1"], None),
     (["decide"], {"t0_override": "nan"}),
     (["decide"], {"t0_override": 0}),
     (["decide"], {"t0_override": -1}),
@@ -551,11 +555,36 @@ def test_sample_good_verb(tmp_path):
     assert data["within_bound"] is True
 
 
-def test_resource_guard_exit_3(capsys):
-    # an orbit that cannot close within the step budget trips the guard
-    assert run(["timeavg", "--inner", "ping_pong", "--variant", "one-way-amp",
-                "--no-decode", "--L", "200", "--max-steps", "50"]) == 3
-    assert "resource guard" in capsys.readouterr().err
+@pytest.mark.parametrize("argv", [
+    # an orbit that cannot close within the step budget
+    ["timeavg", "--inner", "ping_pong", "--variant", "one-way-amp",
+     "--no-decode", "--L", "200", "--max-steps", "50"],
+    # more site values than the byte lattice of run_stats holds
+    ["gap", "--machine", "wide.json"],
+], ids=["truncated", "wide_alphabet"])
+def test_resource_guard_exit_3(tmp_path, capsys, argv):
+    spec = pad_alphabet(build_staged_machine("halt_now", "one-way-amp", include_decode=False), 257)
+    (tmp_path / "wide.json").write_text(json.dumps(spec_to_json(spec)))
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    assert run(argv) == 3
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1 and err[0].startswith("resource guard:")
+
+
+@pytest.mark.parametrize("exc, line", [
+    (MemoryError(), "resource guard: out of memory"),
+    (MemoryError("Unable to allocate 5.3 GiB"), "resource guard: Unable to allocate 5.3 GiB"),
+], ids=["python", "numpy"])
+def test_memory_error_exit_3(monkeypatch, capsys, exc, line):
+    """A failed allocation is a resource guard: exit 3, one line, no traceback."""
+    import hamca.cli as cli
+
+    def verb(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_gap", verb)
+    assert run(["gap"]) == 3
+    assert capsys.readouterr().err.strip().split("\n") == [line]
 
 
 def test_phase_decode_verb(tmp_path, capsys):

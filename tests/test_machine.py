@@ -30,7 +30,10 @@ from hamca.machine import (
     validate_reversible,
 )
 from hamca.encoding import anchored_configuration, scattered_m_sites
+from hamca.hamiltonian import DimensionGuard, compile_machine
 from hamca.staged import FIXTURES, VARIANTS, build_staged_machine
+
+from conftest import pad_alphabet
 
 
 def small_symbols():
@@ -378,6 +381,26 @@ def test_run_stats_matches_reference_on_random_configurations(single_control_rin
     max_steps = data.draw(st.sampled_from([10_000, 0, 1, 2, 3, 7, 20]))
     track = data.draw(st.sampled_from([(), ("a2",), ("a2", "a3", MARK)]))
     _assert_two_routes(spec, cfg, max_steps, track)
+
+
+def test_run_stats_on_a_full_byte_alphabet(twoway_nd):
+    """At 256 site values, controls coded up to 255, every RunStats field
+    still equals the reference's, and the padding changes none of them."""
+    spec = pad_alphabet(twoway_nd, 256)
+    h = compile_machine(spec)
+    cfg = anchored_configuration(spec, 12)
+    assert h.site_dim == 256
+    assert h.encode([cfg.cells])[0, cfg.single_control()] >= 128  # a code with the top bit
+    ref = _assert_two_routes(spec, cfg, track=("a2",))
+    assert ref == _program_stats(twoway_nd, cfg, 10_000, ("a2",))
+
+
+def test_run_stats_refuses_more_than_256_site_values(oneway_nd):
+    """The byte lattice holds 256 site values; one more is refused before
+    the first step."""
+    spec = pad_alphabet(oneway_nd, 257)
+    with pytest.raises(DimensionGuard, match="257 site values"):
+        run_stats(spec, anchored_configuration(spec, 4), 10_000)
 
 
 def test_spec_json_round_trip(oneway):
