@@ -52,8 +52,8 @@ from .machine import (
     MalformedConfiguration,
     NotReversible,
     a_cell,
+    amplification_stats,
     cell_to_tag,
-    cell_track2,
     load_spec,
     orbit_to_jsonl,
     run_orbit,
@@ -196,17 +196,8 @@ def cmd_orbit(args):
     _write(args.out, orbit_to_jsonl(orbit))
     lines = _header_lines(args, {"terminal": orbit.terminal[0], "J": orbit.length})
     lines.append("j,n_a1,n_a2,n_a3")
-    series = {
-        sym: [
-            sum(1 for x in c.cells if not x[0] == "Q" and cell_track2(x) == sym)
-            for c in orbit.states
-        ]
-        for sym in ("a1", "a2", "a3")
-    }
-    for j in range(orbit.length):
-        lines.append(
-            f"{j + 1},{series['a1'][j]},{series['a2'][j]},{series['a3'][j]}"
-        )
+    series = [amplification_stats(orbit, sym).counts for sym in ("a1", "a2", "a3")]
+    lines.extend(f"{j},{n1},{n2},{n3}" for j, (n1, n2, n3) in enumerate(zip(*series), 1))
     _write(args.stats_out, "\n".join(lines) + "\n")
     print(f"terminal={orbit.terminal[0]} J={orbit.length}")
     return 0

@@ -22,6 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .hamiltonian import (
+    DENSE_GUARD,
     DimensionGuard,
     LocalHamiltonian,
     ReachableSpace,
@@ -37,9 +38,6 @@ from .machine import (
     RunStats,
     run_stats,
 )
-
-# Largest dimension built as a dense square array (cycle kernel, dense oracle).
-DENSE_GUARD = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -684,11 +682,7 @@ class DenseSpace:
 
 
 def dense_space(h: LocalHamiltonian, seeds) -> DenseSpace:
-    space = reachable_space(h, seeds)
-    if space.dim > DENSE_GUARD:
-        raise DimensionGuard(
-            f"dense oracle refuses {space.dim} basis states (> {DENSE_GUARD})"
-        )
+    space = reachable_space(h, seeds)  # refuses more than DENSE_GUARD states
     vals, vecs = np.linalg.eigh(space.h_matrix())
     return DenseSpace(
         space=space,

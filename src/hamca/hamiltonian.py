@@ -1,19 +1,22 @@
 """Local update operator U and Hamiltonian H = U + U† on the lattice.
 
-U is kept as a partial injection on the configuration basis, represented by
-two-site pair maps: read-write pairs act on (control site, cell to its
-right); shift pairs swap the control with a neighbour.  H is never
-materialized on the full tensor space; dense linear algebra happens only on
-the subspace reachable from a seed set of configurations, which for a legal
-initial configuration is exactly its orbit.
+U is a partial injection on the configuration basis, built from two-site
+pair maps: read-write pairs act on (control site, cell to its right); shift
+pairs swap the control with a neighbour.  H is never materialized on the
+full tensor space; dense linear algebra happens only on the subspace
+reachable from a seed set of configurations, which for a legal initial
+configuration is exactly its orbit.
 
-``_apply_at`` (behind ``apply_update_dagger`` and ``reachable_space``) and
-``LocalHamiltonian.step_table`` (the pair maps as dense arrays over
-site-value codes, the one compiled form, which ``machine.run_stats``,
+U is applied by exactly two routes.  The reference is ``machine.step_at``
+on the machine's spec, and U† is the same step on the inverse machine
+``machine.invert(spec)``, which ``compile_machine`` builds once;
+``reachable_space`` and the predecessor test of ``machine.run_stats`` take
+U† from it.  The engine is ``LocalHamiltonian.step_table``, the pair maps as
+dense arrays over site-value codes, which ``machine.run_stats``,
 ``dynamics.coded_orbit`` and ``dynamics.lockstep_orbits`` all step through
-by one rule) deliberately re-implement the stepping mechanics from the pair
-maps alone, so agreement with ``machine.step`` is a two-route check of the
-compilation, not a tautology.
+by one rule.  The table is filled from the rule table alone, so agreement
+with ``machine.step`` is a two-route check of the compilation, not a
+tautology.
 """
 
 from __future__ import annotations
@@ -33,9 +36,14 @@ from .machine import (
     MalformedConfiguration,
     NotReversible,
     Orbit,
+    cell_track2,
+    invert,
     is_control,
-    require_reversible,
+    step_at,
 )
+
+# Largest dimension built as a dense square array (cycle kernel, dense oracle).
+DENSE_GUARD = 4096
 
 
 class TruncatedOrbit(ValueError):
@@ -63,22 +71,16 @@ class StepTable(NamedTuple):
 
 @dataclass(frozen=True)
 class LocalHamiltonian:
-    """Pair maps of the one-step isometry, plus shift metadata."""
+    """A reversible machine and its inverse, with their site-value code."""
 
     site_values: tuple  # every value a site can hold (cells and controls)
-    rw_mode: int
-    u0_pairs: dict  # ((mode,q), cell) -> ((mode',q'), cell')
-    shift_dirs: dict  # state -> "+" | "-", for the shift-enabled states only
+    spec: MachineSpec  # U steps by this machine
+    inverse: MachineSpec  # and U† by this one, invert(spec)
     boundary: str = "periodic"  # as compiled; each configuration steps under its own
 
     @property
     def site_dim(self) -> int:
         return len(self.site_values)
-
-    @cached_property
-    def u0_inverse(self) -> dict:
-        """Read-write pairs looked up by their target, for the adjoint."""
-        return {dst: src for src, dst in self.u0_pairs.items()}
 
     @cached_property
     def value_code(self) -> dict:
@@ -101,104 +103,38 @@ class LocalHamiltonian:
 
     @cached_property
     def step_table(self) -> StepTable:
-        """The pair maps in site-value codes, built once per Hamiltonian."""
-        code, d = self.value_code, self.site_dim
+        """The pair maps in site-value codes, built once per Hamiltonian from
+        the spec's rules and shift-enabled states."""
+        spec, code, d = self.spec, self.value_code, self.site_dim
+        rw = spec.rw_mode
         controls = {k: v for k, v in enumerate(self.site_values) if is_control(v)}
         other = {k: code[("Q", 1 - m, q)] for k, (_, m, q) in controls.items()}
         move, jump = np.zeros(d, dtype=np.intp), np.zeros(d, dtype=bool)
         ok = np.zeros((d, d), dtype=bool)
         at_i, at_k = np.zeros((2, d, d), dtype=np.min_scalar_type(d - 1))
-        for (src, cell), (dst, cell2) in self.u0_pairs.items():
-            c, x = code[("Q",) + src], code[cell]
-            move[c], ok[c, x], at_i[c, x], at_k[c, x] = 1, True, code[("Q",) + dst], code[cell2]
-        for q, sign in self.shift_dirs.items():
-            c_rw = code[("Q", self.rw_mode, q)]
+        for (q, cell), (q2, cell2) in spec.rules.items():
+            c, x, c2 = code[("Q", rw, q)], code[cell], code[("Q", 1 - rw, q2)]
+            move[c], ok[c, x], at_i[c, x], at_k[c, x] = 1, True, c2, code[cell2]
+        for q in spec.shift_enabled:
+            c_rw = code[("Q", rw, q)]
             c = other[c_rw]  # a shift swaps the cell in and turns read-write
             move[c], jump[c], ok[c], at_i[c], at_k[c] = (
-                1 if sign == PLUS else -1, True, True, np.arange(d), c_rw)
+                1 if spec.control.shift_class(q) == PLUS else -1, True, True, np.arange(d), c_rw)
         is_ctrl = np.zeros(d, dtype=bool)
         is_ctrl[list(controls)] = True
         return StepTable(move, jump, ok, at_i, at_k, other, is_ctrl)
 
 
 def compile_machine(spec: MachineSpec, boundary: str = "periodic") -> LocalHamiltonian:
-    """Compile a reversible machine into local pair maps."""
-    require_reversible(spec)
-    u0 = {}
-    for (q, cell), (q2, cell2) in spec.rules.items():
-        t2 = cell[1] if cell[0] == "A" else cell[3]
-        if t2 == MARK and q in spec.control.plus:
-            raise NotReversible(
-                "read-write pair from a right-moving state onto the marked cell"
-            )
-        u0[((spec.rw_mode, q), cell)] = ((spec.shift_mode(), q2), cell2)
-    dirs = {q: spec.control.shift_class(q) for q in sorted(spec.shift_enabled)}
+    """Compile a reversible machine: its inverse, whose construction checks
+    that it is reversible, and its site alphabet."""
+    inverse = invert(spec)
+    if any(cell_track2(cell) == MARK and q in spec.control.plus for q, cell in spec.rules):
+        raise NotReversible("read-write pair from a right-moving state onto the marked cell")
     values = tuple(spec.symbols.cells()) + tuple(
         ("Q", m, q) for m in (0, 1) for q in spec.control.states
     )
-    return LocalHamiltonian(
-        site_values=values,
-        rw_mode=spec.rw_mode,
-        u0_pairs=u0,
-        shift_dirs=dirs,
-        boundary=boundary,
-    )
-
-
-def _apply_at(h: LocalHamiltonian, cells, i, boundary, dagger=False):
-    """Apply the (possibly adjoint) update at control site i; None if null.
-
-    Sites wrap under the configuration's own ``boundary``, as in
-    ``machine.step``, so an open block steps as open on any ``h``.
-    """
-    n = len(cells)
-
-    def site(k):
-        if boundary == "periodic":
-            return k % n
-        return k if 0 <= k < n else None
-
-    _, mode, q = cells[i]
-    # U acts as read-write in the read-write mode; U† undoes one from the other
-    if (mode == h.rw_mode) != dagger:
-        r = site(i + 1)
-        if r is None or is_control(cells[r]):
-            return None
-        hit = (h.u0_inverse if dagger else h.u0_pairs).get(((mode, q), cells[r]))
-        if hit is None:
-            return None
-        (m2, q2), cell2 = hit
-        out = list(cells)
-        out[i] = ("Q", m2, q2)
-        out[r] = cell2
-        return tuple(out)
-    d = h.shift_dirs.get(q)
-    if d is None:
-        return None
-    # a "+" shift moves the control right; undoing it moves it back left
-    j = site(i + 1) if (d == PLUS) != dagger else site(i - 1)
-    if j is None or is_control(cells[j]):
-        return None
-    out = list(cells)
-    out[j] = ("Q", 1 - mode, q)
-    out[i] = cells[j]
-    return tuple(out)
-
-
-def apply_update_dagger(h: LocalHamiltonian, config: Configuration):
-    """U† applied to a single-control basis configuration; None where U†|x> = 0."""
-    out = _apply_at(h, config.cells, config.single_control(), config.boundary, True)
-    return None if out is None else Configuration(out, config.boundary)
-
-
-def _branches(h: LocalHamiltonian, cells, boundary, dagger):
-    outs = []
-    for i, x in enumerate(cells):
-        if is_control(x):
-            out = _apply_at(h, cells, i, boundary, dagger=dagger)
-            if out is not None:
-                outs.append(out)
-    return outs
+    return LocalHamiltonian(values, spec, inverse, boundary)
 
 
 @dataclass
@@ -230,41 +166,38 @@ class ReachableSpace:
         return u + u.T
 
 
-def reachable_space(
-    h: LocalHamiltonian, seeds: Iterable[Configuration], guard: int = 1 << 20
-) -> ReachableSpace:
-    """Breadth-first closure under both U and U† starting from the seeds."""
+def reachable_space(h: LocalHamiltonian, seeds: Iterable[Configuration]) -> ReachableSpace:
+    """Breadth-first closure under both U and U† starting from the seeds:
+    ``step_at`` on every control, on the machine and on its inverse.  A
+    closure that grows past ``DENSE_GUARD`` states raises ``DimensionGuard``
+    at once."""
     basis = []
     index = {}
     boundary = None
     frontier = []
+
+    def add(cells):
+        if cells not in index:
+            if len(basis) >= DENSE_GUARD:
+                raise DimensionGuard(f"dense closure exceeds {DENSE_GUARD} states")
+            index[cells] = len(basis)
+            basis.append(cells)
+            frontier.append(cells)
+        return index[cells]
+
     for cfg in seeds:
         if boundary is None:
             boundary = cfg.boundary
-        if cfg.cells not in index:
-            index[cfg.cells] = len(basis)
-            basis.append(cfg.cells)
-            frontier.append(cfg.cells)
+        add(cfg.cells)
     edges = set()
     while frontier:
         cells = frontier.pop()
         k = index[cells]
-        for t_cells in _branches(h, cells, boundary, dagger=False):
-            if t_cells not in index:
-                if len(basis) >= guard:
-                    raise DimensionGuard(f"reachable subspace exceeds {guard} states")
-                index[t_cells] = len(basis)
-                basis.append(t_cells)
-                frontier.append(t_cells)
-            edges.add((k, index[t_cells]))
-        for s_cells in _branches(h, cells, boundary, dagger=True):
-            if s_cells not in index:
-                if len(basis) >= guard:
-                    raise DimensionGuard(f"reachable subspace exceeds {guard} states")
-                index[s_cells] = len(basis)
-                basis.append(s_cells)
-                frontier.append(s_cells)
-            edges.add((index[s_cells], k))
+        sites = [i for i, x in enumerate(cells) if is_control(x)]
+        for out in filter(None, (step_at(h.spec, cells, i, boundary) for i in sites)):
+            edges.add((k, add(out)))
+        for out in filter(None, (step_at(h.inverse, cells, i, boundary) for i in sites)):
+            edges.add((add(out), k))
     return ReachableSpace(basis=basis, index=index, u_edges=sorted(edges), boundary=boundary)
 
 

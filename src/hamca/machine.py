@@ -281,50 +281,51 @@ def invert(spec: MachineSpec) -> MachineSpec:
 # ---------------------------------------------------------------------------
 
 
-def step(spec: MachineSpec, config: Configuration):
-    """One machine step on a single-control configuration.
-
-    Returns the next Configuration, or None when there is none.  Raises
-    MalformedConfiguration when the control site is missing or duplicated.
-    """
-    i = config.single_control()
-    cells = config.cells
+def step_at(spec: MachineSpec, cells: tuple, i: int, boundary: str):
+    """One step of the control on site i, as a new cell tuple; None when
+    there is none.  Any other control only blocks it: blocks never interact.
+    On ``invert(spec)`` this is U† of ``spec``."""
     n = len(cells)
     _, mode, q = cells[i]
 
     def site(k):
-        if config.boundary == "periodic":
+        if boundary == "periodic":
             return k % n
         return k if 0 <= k < n else None
 
     if mode == spec.rw_mode:
         r = site(i + 1)
-        if r is None:
-            return None  # tape exhausted at the open boundary
-        target = cells[r]
-        if is_control(target):
-            return None  # adjacent control: blocks never interact
-        rule = spec.rules.get((q, target))
+        if r is None or is_control(cells[r]):
+            return None  # tape exhausted at the open boundary, or a control
+        rule = spec.rules.get((q, cells[r]))
         if rule is None:
             return None
         q2, cell2 = rule
         new = list(cells)
         new[i] = control(1 - mode, q2)
         new[r] = cell2
-        return Configuration(tuple(new), config.boundary)
+        return tuple(new)
 
     # shift mode
     if q not in spec.shift_enabled:
         return None
     j = site(i + 1) if spec.control.shift_class(q) == PLUS else site(i - 1)
-    if j is None:
-        return None  # shifted off the open lattice
-    if is_control(cells[j]):
-        return None
+    if j is None or is_control(cells[j]):
+        return None  # shifted off the open lattice, or onto a control
     new = list(cells)
     new[j] = control(1 - mode, q)
     new[i] = cells[j]
-    return Configuration(tuple(new), config.boundary)
+    return tuple(new)
+
+
+def step(spec: MachineSpec, config: Configuration):
+    """One machine step on a single-control configuration.
+
+    Returns the next Configuration, or None when there is none.  Raises
+    MalformedConfiguration when the control site is missing or duplicated.
+    """
+    out = step_at(spec, config.cells, config.single_control(), config.boundary)
+    return None if out is None else Configuration(out, config.boundary)
 
 
 def orbit_of(successor, config: Configuration, max_steps: int) -> Orbit:
@@ -392,7 +393,7 @@ def run_stats(
     max_steps: int,
     track_increments: Sequence[str] = (),
 ) -> RunStats:
-    """Run forward by ``compile_machine``'s pair maps, counting exactly.
+    """Run forward by ``compile_machine``'s step table, counting exactly.
 
     Site values are coded by ``LocalHamiltonian.encode`` and the lattice is a
     ``bytearray`` of those codes, one byte per site, so a machine with more
@@ -413,11 +414,7 @@ def run_stats(
     reach the site of the start's predecessor in that predecessor's state,
     where the loop checks for cycle closure.
     """
-    from .hamiltonian import (  # imports this module
-        DimensionGuard,
-        apply_update_dagger,
-        compile_machine,
-    )
+    from .hamiltonian import DimensionGuard, compile_machine  # imports this module
 
     i0 = config.single_control()
     h = compile_machine(spec, config.boundary)
@@ -433,8 +430,9 @@ def run_stats(
     move, jump, ok, at_i, at_k, other, _ = h.step_table  # the pair maps in codes
     state_of = {k: v[2] for k, v in enumerate(values) if v[0] == "Q"}
 
-    # the orbit is a cycle exactly when it reaches the start's predecessor
-    prev = apply_update_dagger(h, config)
+    # the orbit is a cycle exactly when it reaches the start's predecessor,
+    # one step of the inverse machine back
+    prev = step(h.inverse, config)
     if prev is None:
         i_prev, c_prev, q_prev, lat_prev = -1, -1, None, None
     else:
@@ -575,8 +573,7 @@ class AmplificationStats:
 
 
 def amplification_stats(orbit: Orbit, track2_symbol: str) -> AmplificationStats:
-    if orbit.kind == "truncated":
-        raise ValueError("amplification statistics need a complete orbit")
+    """Counts along the orbit's stored steps (a truncated orbit's too)."""
     counts = []
     for cfg in orbit.states:
         c = 0

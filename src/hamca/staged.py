@@ -38,21 +38,13 @@ from .machine import (
     SymbolSet,
     a_cell,
     m_cell,
-    validate_reversible,
+    require_reversible,
 )
 
 ONE_WAY = "one-way-amp"
 TWO_WAY = "two-way-amp"
 IID = "iid-repeat-amp"
 VARIANTS = (ONE_WAY, TWO_WAY, IID)
-
-
-class InnerNotReversible(ValueError):
-    pass
-
-
-class SymbolBudgetExceeded(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -220,9 +212,9 @@ def build_staged_machine(
     inner_name: str,
     variant: str,
     include_decode: bool = True,
-    max_symbols: int = 64,
 ) -> MachineSpec:
-    """Assemble the four-stage machine around a named inner fixture."""
+    """Assemble the four-stage machine around a named inner fixture;
+    ``NotReversible`` if the assembly is not reversible."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     factory = FIXTURES[inner_name]
@@ -238,10 +230,6 @@ def build_staged_machine(
         (MARK, MARK2, MARK3) if variant == TWO_WAY else (MARK,)
     )
     symbols = SymbolSet(m_track2=m_track2, a_track2=a_track2)
-    if len(symbols.cells()) > max_symbols:
-        raise SymbolBudgetExceeded(
-            f"{len(symbols.cells())} cell symbols exceed the budget {max_symbols}"
-        )
 
     rules = {}
     classes = {"boot": PLUS}
@@ -335,9 +323,7 @@ def build_staged_machine(
         variant=variant,
         stage_marks=stage_marks,
     )
-    report = validate_reversible(spec)
-    if not report.ok():
-        raise InnerNotReversible(report.summary())
+    require_reversible(spec)
     return spec
 
 
@@ -361,5 +347,5 @@ def shuttle_machine() -> MachineSpec:
         init_state="glide",
         variant=ONE_WAY,
     )
-    assert validate_reversible(spec).ok()
+    require_reversible(spec)
     return spec

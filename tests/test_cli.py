@@ -3,6 +3,7 @@
 import hashlib
 import json
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -257,16 +258,20 @@ _INSTANCE = {"inner": "halt_now", "variant": "one-way-amp", "decode": False,
     (["decide"], {"t0_override": "nan"}),
     (["decide"], {"t0_override": 0}),
     (["decide"], {"t0_override": -1}),
+    (["decide", "missing.json"], None),
+    (["decide"], {"eta": None}),
 ])
 def test_malformed_input_exit_2(tmp_path, capsys, argv, instance):
-    """Every malformed input exits 2 with a one-line message, no traceback."""
+    """Every malformed input exits 2 with a one-line message, no traceback.
+    A field set to None is left out of the instance file."""
     _write_refused_specs(tmp_path)
     argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
     if instance is not None:
         if "machine_ref" in instance:
             instance = {**instance, "machine_ref": str(tmp_path / instance["machine_ref"])}
         path = tmp_path / "inst.json"
-        path.write_text(json.dumps({**_INSTANCE, **instance}))
+        merged = {**_INSTANCE, **instance}
+        path.write_text(json.dumps({k: v for k, v in merged.items() if v is not None}))
         argv = argv + [str(path)]
     assert run(argv) == 2
     err = capsys.readouterr().err.strip().split("\n")
@@ -555,13 +560,53 @@ def test_sample_good_verb(tmp_path):
     assert data["within_bound"] is True
 
 
+def test_sample_good_iid_verb(tmp_path):
+    out = tmp_path / "sg.json"
+    assert run(["sample-good", "--mode", "iid", "--samples", "5000", "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["mode"] == "iid" and data["within_bound"] is True
+
+
+@pytest.mark.parametrize("verb", ["orbit", "timeavg"])
+def test_alpha_sets_the_simulation_cell_count(tmp_path, verb):
+    """Without --m-count, --alpha places round(alpha * L) simulation cells:
+    at L = 16, --alpha 1/8 writes the artifact of --m-count 2, which is not
+    the artifact of no simulation cells."""
+    extra = ["--stats-out", str(tmp_path / "s.csv")] if verb == "orbit" else []
+    texts = []
+    for k, opts in enumerate((["--alpha", "1/8"], ["--m-count", "2"], [])):
+        out = tmp_path / f"{k}.out"
+        assert run([verb, "--L", "16", "--out", str(out)] + opts + extra) == 0
+        texts.append(out.read_text())
+    assert texts[0] == texts[1] != texts[2]
+
+
+def test_irreversible_build_exit_2(monkeypatch, capsys):
+    """An inner fixture whose rules collide makes the build raise the
+    library's NotReversible: exit 2 with one error line."""
+    import hamca.staged as staged
+
+    def clash(a_pass):
+        inner = staged.halt_now(a_pass)
+        rules = {**inner.rules, ("back", a_cell("a2")): ("back", a_cell("a1"))}
+        return replace(inner, rules=rules)  # ("go", a1) maps to ("back", a1) too
+
+    monkeypatch.setitem(staged.FIXTURES, "clash", clash)
+    assert run(["gap", "--inner", "clash", "--L", "4"]) == 2
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1 and err[0].startswith("error: collision:")
+
+
 @pytest.mark.parametrize("argv", [
     # an orbit that cannot close within the step budget
     ["timeavg", "--inner", "ping_pong", "--variant", "one-way-amp",
      "--no-decode", "--L", "200", "--max-steps", "50"],
     # more site values than the byte lattice of run_stats holds
     ["gap", "--machine", "wide.json"],
-], ids=["truncated", "wide_alphabet"])
+    # an orbit longer than --max-steps on the coded route
+    ["evolve", "--inner", "ping_pong", "--variant", "one-way-amp",
+     "--no-decode", "--L", "200", "--max-steps", "50"],
+], ids=["truncated", "wide_alphabet", "evolve_truncated"])
 def test_resource_guard_exit_3(tmp_path, capsys, argv):
     spec = pad_alphabet(build_staged_machine("halt_now", "one-way-amp", include_decode=False), 257)
     (tmp_path / "wide.json").write_text(json.dumps(spec_to_json(spec)))

@@ -41,7 +41,7 @@ from hamca.encoding import (
     encode_input,
     scattered_m_sites,
 )
-from hamca.hamiltonian import compile_machine, reachable_space
+from hamca.hamiltonian import DENSE_GUARD, DimensionGuard, compile_machine
 from hamca.machine import (
     Configuration,
     a_cell,
@@ -238,12 +238,22 @@ def test_longterm_fixture_table_matches_dense(inner, variant, decode, boundary):
     for spec, h, cfg in _fixture_configs(inner, variant, decode, boundary):
         lt, stats = longterm_site_average(spec, h, cfg, 10_000)
         check_state(lt)
-        if reachable_space(h, [cfg]).dim > 4096:
+        if stats.length > DENSE_GUARD:  # a start with no predecessor closes on its orbit
             continue
         ds = dense_space(h, [cfg])
         assert ds.space.dim == stats.length
         lt_dense = ds.longterm_site_average(ds.state_vector(cfg))
         assert np.abs(lt - lt_dense).max() < 1e-9
+
+
+def test_dense_closure_refused_past_the_guard():
+    """The dense oracle refuses a closure of more than DENSE_GUARD states:
+    two-way, no decode, L = 64 has an orbit of 4,165 steps."""
+    spec = build_staged_machine("halt_now", "two-way-amp", include_decode=False)
+    cfg = anchored_configuration(spec, 64)
+    assert run_stats(spec, cfg, 10_000).length == 4165
+    with pytest.raises(DimensionGuard, match=f"exceeds {DENSE_GUARD} states"):
+        dense_space(compile_machine(spec), [cfg])
 
 
 def _all_pairs_site_data(orbit, h):

@@ -14,7 +14,6 @@ from hamca.encoding import (
     scattered_m_sites,
 )
 from hamca.hamiltonian import (
-    apply_update_dagger,
     compile_machine,
     energy_gap_bound,
     min_distinct_gap,
@@ -45,8 +44,8 @@ from conftest import split_blocks
 
 
 def test_dagger_undoes_step_along_runs(oneway, h_oneway, rng):
-    """U† of the compiled pair maps inverts ``machine.step`` on
-    configurations drawn from real runs."""
+    """U†, a step of the compiled inverse machine, inverts ``machine.step``
+    on configurations drawn from real runs."""
     checked = 0
     for seed in range(8):
         L = int(rng.randint(4, 9))
@@ -58,7 +57,7 @@ def test_dagger_undoes_step_along_runs(oneway, h_oneway, rng):
             s = step(oneway, cur)
             if s is None:
                 break
-            assert apply_update_dagger(h_oneway, s).cells == cur.cells
+            assert step(h_oneway.inverse, s).cells == cur.cells
             cur = s
             checked += 1
     assert checked >= 100
@@ -72,7 +71,7 @@ def test_update_zero_on_marker_read(oneway_nd, h_oneway=None):
 
 def test_initial_configuration_has_no_predecessor(oneway, h_oneway):
     cfg = anchored_configuration(oneway, 6, scattered_m_sites(6, 2, witness_at=1))
-    assert apply_update_dagger(h_oneway, cfg) is None
+    assert step(h_oneway.inverse, cfg) is None
 
 
 def test_update_zero_on_terminal(oneway_nd):
@@ -98,27 +97,29 @@ def test_compile_refuses_right_mover_on_marker(direction):
         with pytest.raises(NotReversible, match="right-moving"):
             compile_machine(spec)
     else:
-        assert len(compile_machine(spec).u0_pairs) == 1
+        table = compile_machine(spec).step_table
+        assert table.ok[~table.jump].sum() == 1  # the one read-write pair
 
 
 def test_dagger_undoes_step_on_every_pair():
-    """U† inverts ``machine.step`` on every read-write pair and every shift
-    of every build."""
+    """U†, a step of the compiled inverse machine, inverts ``machine.step``
+    on every read-write pair and every shift of every build."""
     for inner in FIXTURES:
         for variant in VARIANTS:
             for decode in (True, False):
                 spec = build_staged_machine(inner, variant, include_decode=decode)
                 h = compile_machine(spec)
-                moves = [(("Q",) + src, cell) for src, cell in h.u0_pairs]
-                for q, d in h.shift_dirs.items():
-                    ctrl = control(1 - h.rw_mode, q)
-                    moves.append((ctrl, a_cell("a1")) if d == PLUS else (a_cell("a1"), ctrl))
-                assert len(moves) == len(h.u0_pairs) + len(h.shift_dirs) > 0
+                moves = [(control(spec.rw_mode, q), cell) for q, cell in spec.rules]
+                for q in spec.shift_enabled:
+                    ctrl = control(spec.shift_mode(), q)
+                    plus = spec.control.shift_class(q) == PLUS
+                    moves.append((ctrl, a_cell("a1")) if plus else (a_cell("a1"), ctrl))
+                assert len(moves) == len(spec.rules) + len(spec.shift_enabled) > 0
                 for cells in moves:
                     cfg = Configuration(cells, "open")
                     nxt = step(spec, cfg)
                     assert nxt is not None and nxt != cfg
-                    assert apply_update_dagger(h, nxt) == cfg
+                    assert step(h.inverse, nxt) == cfg
 
 
 def test_locality_of_update(oneway, h_oneway):
@@ -307,9 +308,11 @@ def test_min_distinct_gap_is_the_smallest_step_above_tol():
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_step_table_decodes_to_the_pair_maps(variant):
-    """The dense table decodes back to the pair maps, the other-mode map and
-    the control mask, and is built once per Hamiltonian."""
-    h = compile_machine(build_staged_machine("ping_pong", variant))
+    """The dense table decodes back to the spec's rules and shift classes,
+    the other-mode map and the control mask, and is built once per
+    Hamiltonian."""
+    spec = build_staged_machine("ping_pong", variant)
+    h = compile_machine(spec)
     table = h.step_table
     assert h.step_table is table
     vals, d = h.site_values, h.site_dim
@@ -320,17 +323,18 @@ def test_step_table_decodes_to_the_pair_maps(variant):
             continue
         _, mode, q = vals[c]
         if table.jump[c]:  # a shift: any cell swaps in, the control turns read-write
-            assert mode != h.rw_mode and table.ok[c].all()
+            assert mode != spec.rw_mode and table.ok[c].all()
             assert table.at_i[c].tolist() == list(range(d))
-            assert set(table.at_k[c].tolist()) == {h.value_index(("Q", h.rw_mode, q))}
+            assert set(table.at_k[c].tolist()) == {h.value_index(("Q", spec.rw_mode, q))}
             shifts[q] = {1: PLUS, -1: MINUS}[int(table.move[c])]
         else:  # read-write onto the cell to the right
-            assert mode == h.rw_mode and table.move[c] == 1
+            assert mode == spec.rw_mode and table.move[c] == 1
             for x in np.flatnonzero(table.ok[c]).tolist():
                 c2, x2 = table.at_i[c, x], table.at_k[c, x]
-                rw[((mode, q), vals[x])] = ((vals[c2][1], vals[c2][2]), vals[x2])
-    assert rw == h.u0_pairs
-    assert shifts == h.shift_dirs
+                assert vals[c2][1] != spec.rw_mode
+                rw[(q, vals[x])] = (vals[c2][2], vals[x2])
+    assert rw == spec.rules
+    assert shifts == {q: spec.control.shift_class(q) for q in spec.shift_enabled}
     assert table.is_control.tolist() == [is_control(v) for v in vals]
     for c, c2 in table.other.items():
         assert vals[c2] == ("Q", 1 - vals[c][1], vals[c][2])

@@ -18,6 +18,7 @@ from hamca.machine import (
     SymbolSet,
     a_cell,
     amplification_stats,
+    cell_to_tag,
     cell_track2,
     control,
     invert,
@@ -27,6 +28,7 @@ from hamca.machine import (
     spec_from_json,
     spec_to_json,
     step,
+    tag_to_cell,
     validate_reversible,
 )
 from hamca.encoding import anchored_configuration, scattered_m_sites
@@ -410,3 +412,13 @@ def test_spec_json_round_trip(oneway):
     assert back.control == oneway.control
     assert back.symbols == oneway.symbols
     assert back.shift_enabled == oneway.shift_enabled
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_site_tags_round_trip(variant):
+    """Every site value of every build, controls included, reads back from
+    its tag."""
+    for inner in FIXTURES:
+        values = compile_machine(build_staged_machine(inner, variant)).site_values
+        assert any(map(is_control, values)) and not all(map(is_control, values))
+        assert [tag_to_cell(cell_to_tag(v)) for v in values] == list(values)

@@ -29,11 +29,6 @@ def test_all_builds_reversible(inner, variant):
     assert validate_reversible(spec).ok()
 
 
-def test_symbol_budget():
-    with pytest.raises(Exception):
-        build_staged_machine("counter", "two-way-amp", max_symbols=10)
-
-
 def test_two_way_entry_rewrites_marker(twoway_nd):
     # the halt walker reading the marked cell rewrites it and turns around
     q, cell = ("back", a_cell(MARK))
