@@ -194,11 +194,12 @@ def cmd_orbit(args):
     config = _config_from_args(spec, args)
     orbit = run_orbit(spec, config, args.max_steps)
     _write(args.out, orbit_to_jsonl(orbit))
-    lines = _header_lines(args, {"terminal": orbit.terminal[0], "J": orbit.length})
-    lines.append("j,n_a1,n_a2,n_a3")
-    series = [amplification_stats(orbit, sym).counts for sym in ("a1", "a2", "a3")]
-    lines.extend(f"{j},{n1},{n2},{n3}" for j, (n1, n2, n3) in enumerate(zip(*series), 1))
-    _write(args.stats_out, "\n".join(lines) + "\n")
+    if args.stats_out:
+        lines = _header_lines(args, {"terminal": orbit.terminal[0], "J": orbit.length})
+        lines.append("j,n_a1,n_a2,n_a3")
+        series = [amplification_stats(orbit, sym).counts for sym in ("a1", "a2", "a3")]
+        lines.extend(f"{j},{n1},{n2},{n3}" for j, (n1, n2, n3) in enumerate(zip(*series), 1))
+        _write(args.stats_out, "\n".join(lines) + "\n")
     print(f"terminal={orbit.terminal[0]} J={orbit.length}")
     return 0
 
@@ -435,7 +436,7 @@ def _opts_orbit(p):
     _add_machine_opts(p)
     _add_config_opts(p)
     p.add_argument("--out", default="-")
-    p.add_argument("--stats-out", default="orbit_stats.csv")
+    p.add_argument("--stats-out")
     p.set_defaults(func=cmd_orbit)
 
 

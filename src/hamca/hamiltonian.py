@@ -9,14 +9,15 @@ configuration is exactly its orbit.
 
 U is applied by exactly two routes.  The reference is ``machine.step_at``
 on the machine's spec, and U† is the same step on the inverse machine
-``machine.invert(spec)``, which ``compile_machine`` builds once;
-``reachable_space`` and the predecessor test of ``machine.run_stats`` take
-U† from it.  The engine is ``LocalHamiltonian.step_table``, the pair maps as
-dense arrays over site-value codes, which ``machine.run_stats``,
-``dynamics.coded_orbit`` and ``dynamics.lockstep_orbits`` all step through
-by one rule.  The table is filled from the rule table alone, so agreement
-with ``machine.step`` is a two-route check of the compilation, not a
-tautology.
+``machine.invert(spec)``, which ``compile_machine`` builds once as
+``LocalHamiltonian.inverse``; ``reachable_space`` takes U† from it.  The
+engine is the step table, the pair maps as dense arrays over site-value
+codes, which ``machine.run_stats``, ``dynamics.coded_orbit`` and
+``dynamics.lockstep_orbits`` all step through by one rule.  ``machine``
+compiles the alphabet, the table and the inverse; ``compile_machine`` builds
+on it, and ``run_stats`` never imports this module.  The table is filled from
+the rule table alone, so agreement with ``machine.step`` is a two-route check
+of the compilation, not a tautology.
 """
 
 from __future__ import annotations
@@ -24,21 +25,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
 from .machine import (
-    MARK,
-    PLUS,
     Configuration,
+    DimensionGuard,
     MachineSpec,
-    MalformedConfiguration,
-    NotReversible,
     Orbit,
-    cell_track2,
-    invert,
+    StepTable,
+    build_step_table,
+    compiled_inverse,
+    encode_sites,
     is_control,
+    site_alphabet,
     step_at,
 )
 
@@ -48,25 +49,6 @@ DENSE_GUARD = 4096
 
 class TruncatedOrbit(ValueError):
     pass
-
-
-class DimensionGuard(ValueError):
-    pass
-
-
-class StepTable(NamedTuple):
-    """The pair maps as dense arrays over site-value codes, for the compiled
-    steppers: control c at site i acts on site i + move[c] and moves there
-    where jump[c]; with x the code on that site, the step exists where
-    ok[c, x] and leaves at_i[c, x] on site i and at_k[c, x] on the other."""
-
-    move: np.ndarray  # (d,) +1 for a read-write control with a rule, a shift's +1 or -1, else 0
-    jump: np.ndarray  # (d,) bool
-    ok: np.ndarray  # (d, d) bool
-    at_i: np.ndarray  # (d, d) codes
-    at_k: np.ndarray  # (d, d) codes
-    other: dict  # control -> the same state's control in the other mode
-    is_control: np.ndarray  # bool per site-value code
 
 
 @dataclass(frozen=True)
@@ -88,53 +70,21 @@ class LocalHamiltonian:
         return {v: i for i, v in enumerate(self.site_values)}
 
     def encode(self, rows, dtype=np.intp) -> np.ndarray:
-        """(rows, sites) array of the codes of configuration rows (sequences of
-        site values); a value outside ``site_values`` is a malformed input."""
-        code = self.value_code
-        try:
-            return np.array([[code[x] for x in row] for row in rows], dtype=dtype)
-        except KeyError as exc:
-            raise MalformedConfiguration(
-                f"site value {exc.args[0]!r} is not in the machine's site alphabet"
-            ) from None
+        """(rows, sites) array of site-value codes, by ``machine.encode_sites``."""
+        return encode_sites(self.value_code, rows, dtype)
 
     def value_index(self, value) -> int:
         return int(self.encode([[value]])[0, 0])
 
     @cached_property
     def step_table(self) -> StepTable:
-        """The pair maps in site-value codes, built once per Hamiltonian from
-        the spec's rules and shift-enabled states."""
-        spec, code, d = self.spec, self.value_code, self.site_dim
-        rw = spec.rw_mode
-        controls = {k: v for k, v in enumerate(self.site_values) if is_control(v)}
-        other = {k: code[("Q", 1 - m, q)] for k, (_, m, q) in controls.items()}
-        move, jump = np.zeros(d, dtype=np.intp), np.zeros(d, dtype=bool)
-        ok = np.zeros((d, d), dtype=bool)
-        at_i, at_k = np.zeros((2, d, d), dtype=np.min_scalar_type(d - 1))
-        for (q, cell), (q2, cell2) in spec.rules.items():
-            c, x, c2 = code[("Q", rw, q)], code[cell], code[("Q", 1 - rw, q2)]
-            move[c], ok[c, x], at_i[c, x], at_k[c, x] = 1, True, c2, code[cell2]
-        for q in spec.shift_enabled:
-            c_rw = code[("Q", rw, q)]
-            c = other[c_rw]  # a shift swaps the cell in and turns read-write
-            move[c], jump[c], ok[c], at_i[c], at_k[c] = (
-                1 if spec.control.shift_class(q) == PLUS else -1, True, True, np.arange(d), c_rw)
-        is_ctrl = np.zeros(d, dtype=bool)
-        is_ctrl[list(controls)] = True
-        return StepTable(move, jump, ok, at_i, at_k, other, is_ctrl)
+        """``machine.build_step_table`` in this code, built once per Hamiltonian."""
+        return build_step_table(self.spec, self.value_code)
 
 
 def compile_machine(spec: MachineSpec, boundary: str = "periodic") -> LocalHamiltonian:
-    """Compile a reversible machine: its inverse, whose construction checks
-    that it is reversible, and its site alphabet."""
-    inverse = invert(spec)
-    if any(cell_track2(cell) == MARK and q in spec.control.plus for q, cell in spec.rules):
-        raise NotReversible("read-write pair from a right-moving state onto the marked cell")
-    values = tuple(spec.symbols.cells()) + tuple(
-        ("Q", m, q) for m in (0, 1) for q in spec.control.states
-    )
-    return LocalHamiltonian(values, spec, inverse, boundary)
+    """Compile a reversible machine: ``machine.compiled_inverse`` and its alphabet."""
+    return LocalHamiltonian(site_alphabet(spec), spec, compiled_inverse(spec), boundary)
 
 
 @dataclass

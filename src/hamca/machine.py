@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -67,6 +67,10 @@ class MalformedConfiguration(ValueError):
 
 
 class NotReversible(ValueError):
+    pass
+
+
+class DimensionGuard(ValueError):
     pass
 
 
@@ -218,7 +222,7 @@ class Orbit:
 
 
 # ---------------------------------------------------------------------------
-# Validation and inversion
+# Validation, inversion and compilation to site-value codes
 # ---------------------------------------------------------------------------
 
 
@@ -274,6 +278,68 @@ def invert(spec: MachineSpec) -> MachineSpec:
         rules=inv_rules,
         rw_mode=spec.shift_mode(),
     )
+
+
+def compiled_inverse(spec: MachineSpec) -> MachineSpec:
+    """``invert(spec)``; also refuses a right-moving state's pair on the marker."""
+    inverse = invert(spec)
+    if any(cell_track2(cell) == MARK and q in spec.control.plus for q, cell in spec.rules):
+        raise NotReversible("read-write pair from a right-moving state onto the marked cell")
+    return inverse
+
+
+def site_alphabet(spec: MachineSpec) -> tuple:
+    """Every value a site can hold, cells first; a value's index is its code."""
+    controls = [("Q", m, q) for m in (0, 1) for q in spec.control.states]
+    return tuple(spec.symbols.cells() + controls)
+
+
+def encode_sites(code: Mapping, rows, dtype=np.intp) -> np.ndarray:
+    """(rows, sites) array of the codes of rows of site values under ``code``
+    (value -> code); a value outside the alphabet is a malformed input."""
+    try:
+        return np.array([[code[x] for x in row] for row in rows], dtype=dtype)
+    except KeyError as exc:
+        raise MalformedConfiguration(
+            f"site value {exc.args[0]!r} is not in the machine's site alphabet"
+        ) from None
+
+
+class StepTable(NamedTuple):
+    """The pair maps as dense arrays over site-value codes, for the compiled
+    steppers: control c at site i acts on site i + move[c] and moves there
+    where jump[c]; with x the code on that site, the step exists where
+    ok[c, x] and leaves at_i[c, x] on site i and at_k[c, x] on the other."""
+
+    move: np.ndarray  # (d,) +1 for a read-write control with a rule, a shift's +1 or -1, else 0
+    jump: np.ndarray  # (d,) bool
+    ok: np.ndarray  # (d, d) bool
+    at_i: np.ndarray  # (d, d) codes
+    at_k: np.ndarray  # (d, d) codes
+    other: dict  # control -> the same state's control in the other mode
+    is_control: np.ndarray  # bool per site-value code
+
+
+def build_step_table(spec: MachineSpec, code: Mapping) -> StepTable:
+    """The pair maps in the site-value code ``code`` of ``spec``'s alphabet,
+    filled from the spec's rules and shift-enabled states alone."""
+    d, rw = len(code), spec.rw_mode
+    controls = {k: v for v, k in code.items() if is_control(v)}
+    other = {k: code[("Q", 1 - m, q)] for k, (_, m, q) in controls.items()}
+    move, jump = np.zeros(d, dtype=np.intp), np.zeros(d, dtype=bool)
+    ok = np.zeros((d, d), dtype=bool)
+    at_i, at_k = np.zeros((2, d, d), dtype=np.min_scalar_type(d - 1))
+    for (q, cell), (q2, cell2) in spec.rules.items():
+        c, x, c2 = code[("Q", rw, q)], code[cell], code[("Q", 1 - rw, q2)]
+        move[c], ok[c, x], at_i[c, x], at_k[c, x] = 1, True, c2, code[cell2]
+    for q in spec.shift_enabled:
+        c_rw = code[("Q", rw, q)]
+        c = other[c_rw]  # a shift swaps the cell in and turns read-write
+        move[c], jump[c], ok[c], at_i[c], at_k[c] = (
+            1 if spec.control.shift_class(q) == PLUS else -1, True, True, np.arange(d), c_rw)
+    is_ctrl = np.zeros(d, dtype=bool)
+    is_ctrl[list(controls)] = True
+    return StepTable(move, jump, ok, at_i, at_k, other, is_ctrl)
 
 
 # ---------------------------------------------------------------------------
@@ -393,11 +459,12 @@ def run_stats(
     max_steps: int,
     track_increments: Sequence[str] = (),
 ) -> RunStats:
-    """Run forward by ``compile_machine``'s step table, counting exactly.
+    """Run forward by the machine's step table, counting exactly.
 
-    Site values are coded by ``LocalHamiltonian.encode`` and the lattice is a
-    ``bytearray`` of those codes, one byte per site, so a machine with more
-    than 256 site values is refused with ``DimensionGuard`` before any step.
+    The machine is compiled by this module's functions, as ``compile_machine``
+    compiles it, and the lattice is a ``bytearray`` of site-value codes, one
+    byte per site, so more than 256 site values are refused with
+    ``DimensionGuard`` before any step.
     Almost every step belongs to a glide: identity read-write steps
     alternating with shifts across the cells they leave unchanged.  A glide
     keeps the cell multiset and the control state fixed, so it costs one
@@ -414,29 +481,28 @@ def run_stats(
     reach the site of the start's predecessor in that predecessor's state,
     where the loop checks for cycle closure.
     """
-    from .hamiltonian import DimensionGuard, compile_machine  # imports this module
-
     i0 = config.single_control()
-    h = compile_machine(spec, config.boundary)
-    values = h.site_values
+    inverse = compiled_inverse(spec)
+    values = site_alphabet(spec)
     V = len(values)
     if V > 256:
         raise DimensionGuard(f"{V} site values exceed the 256 of the byte lattice")
-    codes = h.encode([config.cells], np.uint8)[0]
+    code = {v: k for k, v in enumerate(values)}
+    codes = encode_sites(code, [config.cells], np.uint8)[0]
     lat = bytearray(codes)
     n = len(lat)
     periodic = config.boundary == "periodic"
 
-    move, jump, ok, at_i, at_k, other, _ = h.step_table  # the pair maps in codes
+    move, jump, ok, at_i, at_k, other, _ = build_step_table(spec, code)
     state_of = {k: v[2] for k, v in enumerate(values) if v[0] == "Q"}
 
     # the orbit is a cycle exactly when it reaches the start's predecessor,
     # one step of the inverse machine back
-    prev = step(h.inverse, config)
+    prev = step(inverse, config)
     if prev is None:
         i_prev, c_prev, q_prev, lat_prev = -1, -1, None, None
     else:
-        lat_prev = h.encode([prev.cells], np.uint8)[0].tobytes()
+        lat_prev = encode_sites(code, [prev.cells], np.uint8)[0].tobytes()
         i_prev = prev.single_control()
         c_prev = lat_prev[i_prev]
         q_prev = state_of[c_prev]
@@ -574,13 +640,10 @@ class AmplificationStats:
 
 def amplification_stats(orbit: Orbit, track2_symbol: str) -> AmplificationStats:
     """Counts along the orbit's stored steps (a truncated orbit's too)."""
-    counts = []
-    for cfg in orbit.states:
-        c = 0
-        for x in cfg.cells:
-            if not is_control(x) and cell_track2(x) == track2_symbol:
-                c += 1
-        counts.append(c)
+    counts = [
+        sum(not is_control(x) and cell_track2(x) == track2_symbol for x in cfg.cells)
+        for cfg in orbit.states
+    ]
     J = len(counts)
     n_sites = orbit.states[0].size
     avg = Fraction(sum(counts), J * n_sites)
@@ -677,12 +740,8 @@ def load_spec(path) -> MachineSpec:
 
 
 def orbit_to_jsonl(orbit: Orbit) -> str:
-    lines = []
-    for j, cfg in enumerate(orbit.states, start=1):
-        lines.append(
-            json.dumps(
-                {"j": j, "cells": [cell_to_tag(x) for x in cfg.cells]},
-                sort_keys=True,
-            )
-        )
+    lines = (
+        json.dumps({"j": j, "cells": [cell_to_tag(x) for x in cfg.cells]}, sort_keys=True)
+        for j, cfg in enumerate(orbit.states, start=1)
+    )
     return "\n".join(lines) + "\n"

@@ -52,6 +52,16 @@ def test_build_and_orbit_round_trip(tmp_path, capsys):
     assert "j,n_a1,n_a2,n_a3" in text
 
 
+def test_orbit_without_stats_out_writes_no_file(tmp_path, monkeypatch, capsys):
+    """The count CSV is written only where ``--stats-out`` asks for it: an
+    orbit to stdout leaves the working directory as it was."""
+    monkeypatch.chdir(tmp_path)
+    assert run(["orbit", "--inner", "halt_now", "--variant", "one-way-amp",
+                "--L", "6", "--out", "-"]) == 0
+    assert '"j": 1' in capsys.readouterr().out
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_orbit_missing_machine_exit_2(capsys):
     assert run(["orbit", "--machine", "does-not-exist.json", "--L", "4"]) == 2
     assert "machine spec not found" in capsys.readouterr().err

@@ -33,9 +33,12 @@ from hamca.machine import (
     Orbit,
     SymbolSet,
     a_cell,
+    build_step_table,
     control,
     is_control,
     run_orbit,
+    run_stats,
+    site_alphabet,
     step,
 )
 from hamca.staged import FIXTURES, VARIANTS, build_staged_machine
@@ -81,11 +84,11 @@ def test_update_zero_on_terminal(oneway_nd):
     assert coded_orbit(h, orbit.states[-1], 1).terminal == ("dead_end", 1)
 
 
-@pytest.mark.parametrize("direction", [PLUS, MINUS])
-def test_compile_refuses_right_mover_on_marker(direction):
-    """Only a right-moving state is barred from a rule on the marked cell."""
+def _marker_read(direction):
+    """One state q of shift class ``direction`` with an identity read-write
+    pair on the marked amplification cell."""
     plus, minus = ({"q"}, set()) if direction == PLUS else (set(), {"q"})
-    spec = MachineSpec(
+    return MachineSpec(
         name="marker-read",
         symbols=SymbolSet(m_track2=("s0", MARK), a_track2=("a1", MARK)),
         control=ControlSet(("q",), frozenset(plus), frozenset(minus)),
@@ -93,12 +96,49 @@ def test_compile_refuses_right_mover_on_marker(direction):
         shift_enabled=frozenset({"q"}),
         init_state="q",
     )
+
+
+@pytest.mark.parametrize("direction", [PLUS, MINUS])
+def test_compile_refuses_right_mover_on_marker(direction):
+    """Only a right-moving state is barred from a rule on the marked cell."""
+    spec = _marker_read(direction)
     if direction == PLUS:
         with pytest.raises(NotReversible, match="right-moving"):
             compile_machine(spec)
     else:
         table = compile_machine(spec).step_table
         assert table.ok[~table.jump].sum() == 1  # the one read-write pair
+
+
+@pytest.mark.parametrize("direction", [PLUS, MINUS])
+def test_run_stats_refuses_right_mover_on_marker(direction):
+    """The streaming runner compiles the machine itself and keeps the same
+    refusal as ``compile_machine``."""
+    cfg = Configuration((control(0, "q"), a_cell(MARK), a_cell("a1")))
+    if direction == PLUS:
+        with pytest.raises(NotReversible, match="right-moving"):
+            run_stats(_marker_read(direction), cfg, 100)
+    else:
+        assert run_stats(_marker_read(direction), cfg, 100).terminal == "dead_end"
+
+
+def test_machine_level_compilation_is_the_hamiltonians():
+    """The alphabet and step table that ``run_stats`` builds in ``machine``
+    are ``compile_machine``'s, array by array, on every build."""
+    for inner in FIXTURES:
+        for variant in VARIANTS:
+            for decode in (True, False):
+                spec = build_staged_machine(inner, variant, include_decode=decode)
+                h = compile_machine(spec)
+                values = site_alphabet(spec)
+                assert values == h.site_values
+                table = build_step_table(spec, {v: k for k, v in enumerate(values)})
+                for name, got, want in zip(table._fields, table, h.step_table):
+                    if isinstance(want, np.ndarray):
+                        assert got.dtype == want.dtype, name
+                        assert np.array_equal(got, want), name
+                    else:
+                        assert got == want, name
 
 
 def test_dagger_undoes_step_on_every_pair():

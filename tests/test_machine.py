@@ -2,11 +2,17 @@
 
 import dataclasses
 import itertools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hamca.machine
 from hamca.machine import (
     BLANK,
     MARK,
@@ -403,6 +409,68 @@ def test_run_stats_refuses_more_than_256_site_values(oneway_nd):
     spec = pad_alphabet(oneway_nd, 257)
     with pytest.raises(DimensionGuard, match="257 site values"):
         run_stats(spec, anchored_configuration(spec, 4), 10_000)
+
+
+def test_run_stats_refuses_a_value_outside_the_alphabet(twoway_nd):
+    """A cell the machine has no code for is a malformed input, not a step."""
+    cells = list(anchored_configuration(twoway_nd, 6).cells)
+    cells[3] = a_cell("zz")
+    with pytest.raises(MalformedConfiguration, match="site alphabet"):
+        run_stats(twoway_nd, Configuration(tuple(cells)), 10_000)
+
+
+def _fresh_run(script):
+    """The JSON that ``script`` prints, run in a fresh interpreter that
+    imports hamca from the same source tree as these tests."""
+    src = str(Path(hamca.machine.__file__).parents[1])
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, check=True)
+    return json.loads(run.stdout)
+
+
+def test_stream_run_never_imports_hamiltonian():
+    """A streaming run stands on the classical layer: the two shapes of the
+    stream benchmark (two-way without decode; one-way with decode and
+    simulation cells) compile and run without loading ``hamca.hamiltonian``."""
+    out = _fresh_run(
+        "import json, sys\n"
+        "from hamca.encoding import anchored_configuration, scattered_m_sites\n"
+        "from hamca.machine import run_stats\n"
+        "from hamca.staged import build_staged_machine\n"
+        "two = build_staged_machine('halt_now', 'two-way-amp', include_decode=False)\n"
+        "one = build_staged_machine('counter', 'one-way-amp', include_decode=True)\n"
+        "sites = scattered_m_sites(22, 7, witness_at=7, seed=1)\n"
+        "runs = [(two, anchored_configuration(two, 14), ('a2',)),\n"
+        "        (one, anchored_configuration(one, 22, sites), ())]\n"
+        "terminals = [run_stats(s, c, 10**7, t).terminal for s, c, t in runs]\n"
+        "print(json.dumps([terminals, 'hamca.hamiltonian' in sys.modules]))\n"
+    )
+    assert out == [["dead_end", "dead_end"], False]
+
+
+def test_run_stats_at_ten_thousand_sites():
+    """The longest stream run: two-way without decode at L = 10^4 closes its
+    dead end at J = L^2 + L + 5 within the budget, in a fresh interpreter
+    that never loads ``hamca.hamiltonian``."""
+    out = _fresh_run(
+        "import json, sys, time\n"
+        "from hamca.encoding import anchored_configuration\n"
+        "from hamca.machine import run_stats\n"
+        "from hamca.staged import build_staged_machine\n"
+        "spec = build_staged_machine('halt_now', 'two-way-amp', include_decode=False)\n"
+        "cfg = anchored_configuration(spec, 10_000)\n"
+        "t0 = time.perf_counter()\n"
+        "stats = run_stats(spec, cfg, 2 * 10**8)\n"
+        "seconds = time.perf_counter() - t0\n"
+        "print(json.dumps([stats.terminal, stats.length, seconds,\n"
+        "                  'hamca.hamiltonian' in sys.modules]))\n"
+    )
+    terminal, length, seconds, loaded = out
+    assert (terminal, length) == ("dead_end", 100_010_005)
+    assert seconds < 20.0
+    assert not loaded
 
 
 def test_spec_json_round_trip(oneway):
